@@ -546,7 +546,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := exec.NewRunner(g, data)
+		r, err := exec.NewDeltaRunner(g, exec.InsertStream(data))
 		if err != nil {
 			b.Fatal(err)
 		}

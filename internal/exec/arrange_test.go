@@ -28,11 +28,11 @@ func perQueryGraph(t testing.TB, queries []plan.Query) *mqo.Graph {
 	return g
 }
 
-// reportsEqual compares two reports modulo wall-clock time.
-func reportsEqual(a, b *Report) bool {
-	ac, bc := *a, *b
-	ac.Wall, bc.Wall = 0, 0
-	return reflect.DeepEqual(ac, bc)
+// shareOpts is the environment's options with arrangement sharing forced.
+func shareOpts(share bool) Options {
+	o := EnvOptions()
+	o.Share = share
+	return o
 }
 
 // TestRegistryRefcountProperty drives the registry through random
@@ -151,7 +151,7 @@ func TestArrangementSharingInvariance(t *testing.T) {
 	}
 
 	run := func(share bool) (*Runner, *Report) {
-		r, err := NewDeltaRunnerShare(g, data, share)
+		r, err := New(g, data, shareOpts(share))
 		if err != nil {
 			t.Fatalf("share=%v: %v", share, err)
 		}
@@ -164,7 +164,7 @@ func TestArrangementSharingInvariance(t *testing.T) {
 	rOn, repOn := run(true)
 	rOff, repOff := run(false)
 
-	if !reportsEqual(repOn, repOff) {
+	if !reflect.DeepEqual(repOn, repOff) {
 		t.Errorf("work report differs with sharing on/off:\n on=%+v\noff=%+v", repOn, repOff)
 	}
 	for q := range h.queries {
@@ -218,7 +218,7 @@ func TestParallelSharedArrangements(t *testing.T) {
 	var ref *Report
 	var refResults [][]string
 	for _, workers := range []int{1, 4} {
-		r, err := NewDeltaRunnerShare(g, data, true)
+		r, err := New(g, data, shareOpts(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestParallelSharedArrangements(t *testing.T) {
 			ref, refResults = rep, results
 			continue
 		}
-		if !reportsEqual(ref, rep) {
+		if !reflect.DeepEqual(ref, rep) {
 			t.Errorf("workers=%d: report differs from workers=1:\n got=%+v\nwant=%+v", workers, rep, ref)
 		}
 		if !reflect.DeepEqual(results, refResults) {
@@ -277,14 +277,11 @@ func TestGraftArrangementLifecycle(t *testing.T) {
 	}
 	runWindow := func(r *Runner, g *mqo.Graph, arrivals DeltaDataset) {
 		r.StartWindow(arrivals)
-		r.ArriveWindow(1, 1)
-		for id := range g.Subplans {
-			r.RunSubplan(id)
-		}
+		runUniform(t, r, 1)
 	}
 
 	gAB := build(0, 1)
-	r, err := NewDeltaRunnerShare(gAB, DeltaDataset{}, true)
+	r, err := New(gAB, DeltaDataset{}, shareOpts(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +363,7 @@ func BenchmarkSharedBuild(b *testing.B) {
 				var entries int64
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					r, err := NewDeltaRunnerShare(g, data, mode.share)
+					r, err := New(g, data, shareOpts(mode.share))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -57,9 +57,9 @@ func newHarness(t testing.TB, sqls map[string]string, order []string) *harness {
 
 func (h *harness) run(t *testing.T, data Dataset, paces []int) (*Runner, *Report) {
 	t.Helper()
-	r, err := NewRunner(h.graph, data)
+	r, err := NewDeltaRunner(h.graph, InsertStream(data))
 	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
+		t.Fatalf("NewDeltaRunner: %v", err)
 	}
 	if paces == nil {
 		paces = make([]int, len(h.graph.Subplans))
@@ -72,6 +72,26 @@ func (h *harness) run(t *testing.T, data Dataset, paces []int) (*Runner, *Report
 		t.Fatalf("Run: %v", err)
 	}
 	return r, rep
+}
+
+// runUniform drives r's current window at pace p for every subplan.
+func runUniform(t testing.TB, r *Runner, p int) {
+	t.Helper()
+	paces := make([]int, len(r.Graph.Subplans))
+	for i := range paces {
+		paces[i] = p
+	}
+	if err := r.RunWindow(paces, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fireOne fires subplan id alone over its whole current window and returns
+// the execution's work.
+func fireOne(r *Runner, id int) Work {
+	works := make([]Work, 1)
+	r.Fire([]Firing{{Subplan: id, Index: 1, Pace: 1}}, 1, works, nil)
+	return works[0]
 }
 
 func lineitemRows(pairs ...[2]int64) []value.Row {
@@ -292,7 +312,7 @@ func TestMinMaxRescanOnDelete(t *testing.T) {
 
 func TestRunnerRejectsBadPaces(t *testing.T) {
 	h := newHarness(t, map[string]string{"q": "SELECT p_brand FROM part"}, []string{"q"})
-	r, err := NewRunner(h.graph, Dataset{})
+	r, err := NewDeltaRunner(h.graph, DeltaDataset{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,9 +208,10 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 
 	r.Execs = newExecs
 	r.Graph = newG
-	// Scan cones follow the new graph; skipping stays disabled until the
-	// next window boundary recomputes dirtiness (see reuse.go).
+	// Scan cones and depths follow the new graph; skipping stays disabled
+	// until the next window boundary recomputes dirtiness (see reuse.go).
 	r.computeLineage()
+	r.computeDepth()
 	r.winClean = make([]bool, len(newG.Subplans))
 	return stats, nil
 }

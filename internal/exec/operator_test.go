@@ -115,7 +115,7 @@ func TestJoinLateDeleteCancels(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": "SELECT p_brand, l_quantity FROM part, lineitem WHERE p_partkey = l_partkey",
 	}, []string{"q"})
-	r, err := NewRunner(h.graph, Dataset{})
+	r, err := NewDeltaRunner(h.graph, DeltaDataset{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestHavingRetractsWhenGroupFallsBelow(t *testing.T) {
 		"q": `SELECT l_partkey, SUM(l_quantity) AS s FROM lineitem
 			GROUP BY l_partkey HAVING SUM(l_quantity) > 15`,
 	}, []string{"q"})
-	r, err := NewRunner(h.graph, Dataset{})
+	r, err := NewDeltaRunner(h.graph, DeltaDataset{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	for i := range paces {
 		paces[i] = 5
 	}
-	rSeq, err := NewRunner(h1.graph, data)
+	rSeq, err := NewDeltaRunner(h1.graph, InsertStream(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	}
 
 	h2, _ := parallelHarness(t)
-	rPar, err := NewRunner(h2.graph, data)
+	rPar, err := NewDeltaRunner(h2.graph, InsertStream(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRunParallelMatchesSequentialRandomPaces(t *testing.T) {
 		}
 		workers := 2 + rng.Intn(6)
 
-		rSeq, err := NewRunner(h1.graph, data)
+		rSeq, err := NewDeltaRunner(h1.graph, InsertStream(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestRunParallelMatchesSequentialRandomPaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		h2, _ := parallelHarness(t)
-		rPar, err := NewRunner(h2.graph, data)
+		rPar, err := NewDeltaRunner(h2.graph, InsertStream(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestRunParallelMatchesSequentialRandomPaces(t *testing.T) {
 
 func TestRunParallelValidation(t *testing.T) {
 	h, data := parallelHarness(t)
-	r, err := NewRunner(h.graph, data)
+	r, err := NewDeltaRunner(h.graph, InsertStream(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRunParallelValidation(t *testing.T) {
 
 func TestRunParallelDefaultWorkers(t *testing.T) {
 	h, data := parallelHarness(t)
-	r, err := NewRunner(h.graph, data)
+	r, err := NewDeltaRunner(h.graph, InsertStream(data))
 	if err != nil {
 		t.Fatal(err)
 	}

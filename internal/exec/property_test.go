@@ -79,7 +79,7 @@ func TestPropertyDeletesCancel(t *testing.T) {
 	h := newHarness(t, map[string]string{
 		"q": "SELECT l_partkey, SUM(l_quantity) AS sq FROM lineitem GROUP BY l_partkey",
 	}, []string{"q"})
-	r, err := NewRunner(h.graph, Dataset{})
+	r, err := NewDeltaRunner(h.graph, DeltaDataset{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,7 @@ func TestModeledRescanCharge(t *testing.T) {
 	del := tupleFor(value.Row{value.Int(0), value.Float(float64(n))})
 	del.Sign = delta.Delete
 	r.StartWindow(DeltaDataset{"lineitem": []delta.Tuple{del}})
-	r.ArriveWindow(1, 1)
-	for _, s := range h.graph.Subplans {
-		r.RunSubplan(s.ID)
-	}
+	runUniform(t, r, 1)
 	if got := totalRescan(r); got != n-1 {
 		t.Fatalf("rescan work after extremum retraction = %d, want %d", got, n-1)
 	}
@@ -75,10 +72,7 @@ func TestModeledRescanCharge(t *testing.T) {
 	del2 := tupleFor(value.Row{value.Int(0), value.Float(1)})
 	del2.Sign = delta.Delete
 	r.StartWindow(DeltaDataset{"lineitem": []delta.Tuple{del2}})
-	r.ArriveWindow(1, 1)
-	for _, s := range h.graph.Subplans {
-		r.RunSubplan(s.ID)
-	}
+	runUniform(t, r, 1)
 	if got := totalRescan(r); got != n-1 {
 		t.Fatalf("rescan work after non-extremum delete = %d, want %d", got, n-1)
 	}

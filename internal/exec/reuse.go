@@ -4,9 +4,6 @@ import (
 	"os"
 	"sort"
 	"sync/atomic"
-
-	"ishare/internal/mqo"
-	"ishare/internal/vec"
 )
 
 // This file implements window-level result reuse: when none of the current
@@ -33,19 +30,6 @@ func ReuseFromEnv() bool {
 		return false
 	}
 	return true
-}
-
-// NewDeltaRunnerReuse builds a runner with window-level result reuse
-// explicitly enabled or disabled, overriding the ISHARE_REUSE default — the
-// oracle's reuse-invariance pass constructs both variants and requires
-// byte-identical results and work reports.
-func NewDeltaRunnerReuse(g *mqo.Graph, data DeltaDataset, reuse bool) (*Runner, error) {
-	r, err := newDeltaRunner(g, data, vec.BatchFromEnv(), ShareFromEnv())
-	if err != nil {
-		return nil, err
-	}
-	r.reuse = reuse
-	return r, nil
 }
 
 // SetReuse flips the reuse gate for firings from now on. Like
@@ -138,9 +122,8 @@ func (r *Runner) markAllDirty() {
 	}
 }
 
-// runOnce is the reuse gate every scheduled firing goes through (Run,
-// RunParallel and RunSubplan; graft replay calls SubplanExec.RunOnce
-// directly and is never gated). A clean-cone firing counts as skippable
+// runOnce is the reuse gate every scheduled firing goes through (Fire;
+// graft replay calls SubplanExec.RunOnce directly and is never gated). A clean-cone firing counts as skippable
 // either way; with reuse on it is elided via skipOnce.
 func (r *Runner) runOnce(id int) Work {
 	if r.winClean[id] {

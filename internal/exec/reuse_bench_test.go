@@ -54,18 +54,10 @@ func BenchmarkWindowReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 		r.StartWindow(seed)
-		r.ArriveWindow(1, 1)
-		for id := range r.Graph.Subplans {
-			r.RunSubplan(id)
-		}
+		runUniform(b, r, 1)
 		for w := 0; w < windows; w++ {
 			r.StartWindow(win)
-			for j := 1; j <= pace; j++ {
-				r.ArriveWindow(j, pace)
-				for id := range r.Graph.Subplans {
-					r.RunSubplan(id)
-				}
-			}
+			runUniform(b, r, pace)
 		}
 		return r
 	}

@@ -30,13 +30,15 @@ func reuseWindows(t *testing.T, r *Runner, toggle bool) {
 			r.SetReuse(w%2 == 1)
 		}
 		r.StartWindow(arrivals)
-		for j := 1; j <= 2; j++ {
-			r.ArriveWindow(j, 2)
-			for id := range r.Graph.Subplans {
-				r.RunSubplan(id)
-			}
-		}
+		runUniform(t, r, 2)
 	}
+}
+
+// reuseOpts is the environment's options with window reuse forced.
+func reuseOpts(reuse bool) Options {
+	o := EnvOptions()
+	o.Reuse = reuse
+	return o
 }
 
 // TestReuseInvariance proves the window-level reuse gate is observationally
@@ -58,7 +60,7 @@ func TestReuseInvariance(t *testing.T) {
 	}
 	runMode := func(reuse, toggle bool) outcome {
 		h := newHarness(t, sqls, order)
-		r, err := NewDeltaRunnerReuse(h.graph, DeltaDataset{}, reuse)
+		r, err := New(h.graph, DeltaDataset{}, reuseOpts(reuse))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,18 +119,16 @@ func TestReuseSkipEqualsEmptyFiring(t *testing.T) {
 
 	runEmpty := func(reuse bool) (Work, *Report) {
 		h := newHarness(t, sqls, []string{"q"})
-		r, err := NewDeltaRunnerReuse(h.graph, DeltaDataset{}, reuse)
+		r, err := New(h.graph, DeltaDataset{}, reuseOpts(reuse))
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A seeded window so state exists, then an empty window: with reuse
 		// on the empty window's firing is skipped, off it runs for real.
 		r.StartWindow(DeltaDataset{"lineitem": InsertStream(Dataset{"x": lineitemRows([2]int64{1, 4})})["x"]})
-		r.ArriveWindow(1, 1)
-		r.RunSubplan(0)
+		fireOne(r, 0)
 		r.StartWindow(DeltaDataset{})
-		r.ArriveWindow(1, 1)
-		return r.RunSubplan(0), r.ReportNow()
+		return fireOne(r, 0), r.ReportNow()
 	}
 	skipW, skipRep := runEmpty(true)
 	realW, realRep := runEmpty(false)

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"ishare/internal/buffer"
 	"ishare/internal/delta"
@@ -31,15 +29,9 @@ type Runner struct {
 	Graph *mqo.Graph
 	Data  DeltaDataset
 	Execs []*SubplanExec
-	// Trace optionally receives per-execution spans and shared work
-	// counters. Spans are recorded only on the sequential Run path;
-	// RunSubplan — driven concurrently by the scheduler runtime, which
-	// records its own canonically ordered spans — feeds order-independent
-	// counters only, so traces stay worker-count-invariant.
+	// Trace optionally receives the shared work and arrangement counters
+	// the scheduler runtime publishes (CountWork, CountArrangements).
 	Trace *trace.Tracer
-	// TraceProcess names the tracer process for Run's spans ("exec" when
-	// empty).
-	TraceProcess string
 
 	tables   map[string]*buffer.Log
 	appended map[string]int
@@ -60,6 +52,10 @@ type Runner struct {
 	// winOpen reports whether deltas have arrived since the last seal.
 	winOpen bool
 
+	// depth is each subplan's dependency depth (see computeDepth), the
+	// wave partition Fire fans out over.
+	depth []int
+
 	// reg is the arrangement registry every stateful operator of this
 	// runner attaches its indexed state to (see arrange.go).
 	reg *Registry
@@ -73,12 +69,6 @@ type Runner struct {
 	reuse          bool
 	reuseSkippable int64
 	reuseSkipped   int64
-}
-
-// NewRunner builds fresh operator state, buffers and table logs for an
-// insert-only dataset.
-func NewRunner(g *mqo.Graph, data Dataset) (*Runner, error) {
-	return NewDeltaRunner(g, InsertStream(data))
 }
 
 // InsertStream converts an insert-only dataset into delta form (every row an
@@ -95,42 +85,46 @@ func InsertStream(data Dataset) DeltaDataset {
 	return deltas
 }
 
-// NewDeltaRunner builds a runner over signed change streams using the batch
-// size from the ISHARE_BATCH environment variable (vec.DefaultBatch when
-// unset). The env var is read here, at construction time, rather than at
-// package init so `go test` records it in the test cache key — a CI run with
-// the knob set can never reuse cached default-batch results.
+// Options are a runner's physical execution knobs. None of them changes
+// results or modeled work — the invariance tests and the oracle prove that
+// by constructing runners that differ only here.
+type Options struct {
+	// Batch is the vectorized chunk size: operators iterate deltas in
+	// chunks of Batch tuples (any value < 1 means one chunk per input).
+	Batch int
+	// Share attaches stateful operators to shared arrangements (arrange.go).
+	Share bool
+	// Reuse elides provably idle clean-cone firings (reuse.go).
+	Reuse bool
+}
+
+// EnvOptions returns the environment defaults: vec.BatchFromEnv,
+// ShareFromEnv and ReuseFromEnv. They are read at runner construction
+// rather than at package init so `go test` records them in the test cache
+// key — a CI run with a knob set can never reuse cached default results.
+func EnvOptions() Options {
+	return Options{Batch: vec.BatchFromEnv(), Share: ShareFromEnv(), Reuse: ReuseFromEnv()}
+}
+
+// NewDeltaRunner builds a runner over signed change streams with the
+// environment's options (EnvOptions).
 func NewDeltaRunner(g *mqo.Graph, data DeltaDataset) (*Runner, error) {
-	return NewDeltaRunnerBatch(g, data, vec.BatchFromEnv())
+	return New(g, data, EnvOptions())
 }
 
-// NewDeltaRunnerBatch builds a runner whose operators iterate deltas in
-// chunks of batch tuples (any value < 1 means one chunk per input). Results
-// and modeled work are identical at every batch size; the knob exists for
-// performance tuning and for the invariance tests that prove that claim.
-// Arrangement sharing comes from the environment (ShareFromEnv).
-func NewDeltaRunnerBatch(g *mqo.Graph, data DeltaDataset, batch int) (*Runner, error) {
-	return newDeltaRunner(g, data, batch, ShareFromEnv())
-}
-
-// NewDeltaRunnerShare builds a runner with arrangement sharing explicitly
-// enabled or disabled, overriding the ISHARE_SHARE_ARRANGEMENTS default —
-// the oracle's sharing-invariance pass constructs both variants and
-// requires byte-identical results and work reports.
-func NewDeltaRunnerShare(g *mqo.Graph, data DeltaDataset, share bool) (*Runner, error) {
-	return newDeltaRunner(g, data, vec.BatchFromEnv(), share)
-}
-
-func newDeltaRunner(g *mqo.Graph, data DeltaDataset, batch int, share bool) (*Runner, error) {
+// New builds fresh operator state, buffers and table logs for a subplan
+// graph over signed change streams; data is the first trigger window's
+// arrivals (possibly empty, for StartWindow-driven use).
+func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 	r := &Runner{
 		Graph:      g,
 		Data:       data,
 		tables:     make(map[string]*buffer.Log),
 		appended:   make(map[string]int),
 		windowBase: make(map[string]int),
-		batch:      batch,
-		reg:        NewRegistry(share),
-		reuse:      ReuseFromEnv(),
+		batch:      opts.Batch,
+		reg:        NewRegistry(opts.Share),
+		reuse:      opts.Reuse,
 	}
 	// A non-empty construction dataset is the first (implicit) window: if
 	// the plan is later grafted, that history must be replayable.
@@ -151,13 +145,14 @@ func newDeltaRunner(g *mqo.Graph, data DeltaDataset, batch int, share bool) (*Ru
 	}
 	r.Execs = make([]*SubplanExec, len(g.Subplans))
 	for _, s := range g.Subplans { // children-first, so child execs exist
-		se, err := NewSubplanExec(g, s, r, batch, r.reg)
+		se, err := NewSubplanExec(g, s, r, r.batch, r.reg)
 		if err != nil {
 			return nil, err
 		}
 		r.Execs[s.ID] = se
 	}
 	r.computeLineage()
+	r.computeDepth()
 	r.computeWinClean() // the construction dataset is the implicit first window
 	return r, nil
 }
@@ -180,23 +175,6 @@ func (r *Runner) SubplanLog(s *mqo.Subplan) (*buffer.Log, error) {
 	return se.Out, nil
 }
 
-// event is one scheduled incremental execution: subplan sub runs when j/p of
-// the window's data has arrived.
-type event struct {
-	sub  int
-	j, p int
-}
-
-// less orders events by arrival fraction (exact rational comparison), then
-// children-first by subplan id.
-func (e event) less(o event) bool {
-	l, r := e.j*o.p, o.j*e.p
-	if l != r {
-		return l < r
-	}
-	return e.sub < o.sub
-}
-
 // Report summarizes one run.
 type Report struct {
 	// Paces is the executed pace configuration, indexed by subplan id.
@@ -212,54 +190,12 @@ type Report struct {
 	// execution work of the subplans it participates in — the paper's
 	// proxy for query latency.
 	QueryFinal []int64
-	// Wall is the elapsed wall-clock time of the run.
-	Wall time.Duration
-}
-
-// Run executes the configured paces over the full dataset. It must be
-// called once per Runner; operator state is not reset between runs.
-func (r *Runner) Run(paces []int) (*Report, error) {
-	if len(paces) != len(r.Graph.Subplans) {
-		return nil, fmt.Errorf("exec: %d paces for %d subplans", len(paces), len(r.Graph.Subplans))
-	}
-	var events []event
-	for i, p := range paces {
-		if p < 1 {
-			return nil, fmt.Errorf("exec: subplan %d has pace %d < 1", i, p)
-		}
-		for j := 1; j <= p; j++ {
-			events = append(events, event{sub: i, j: j, p: p})
-		}
-	}
-	sort.Slice(events, func(a, b int) bool { return events[a].less(events[b]) })
-
-	tr := r.Trace
-	pid := r.traceProcess()
-	start := time.Now()
-	for _, e := range events {
-		r.arriveUpTo(e.j, e.p)
-		if tr == nil {
-			r.runOnce(e.sub)
-			continue
-		}
-		runStart := tr.Since()
-		w := r.runOnce(e.sub)
-		tr.Span(pid, 1+e.sub, "exec", fmt.Sprintf("run %d/%d", e.j, e.p), runStart, tr.Since(),
-			trace.Arg{Key: "tuples", Value: w.Tuples},
-			trace.Arg{Key: "output", Value: w.Output},
-			trace.Arg{Key: "rescan", Value: w.Rescan},
-			trace.Arg{Key: "work", Value: w.Total()})
-		r.CountWork(w)
-	}
-	r.CountArrangements()
-	return r.report(paces, time.Since(start)), nil
 }
 
 // CountArrangements publishes the registry's sharing/memory accounting to
 // the tracer's counters. The values are end-state gauges, not deltas, so
-// callers emit them exactly once per run — Run does it after the last
-// firing, and the scheduler runtime after its final window closes. No-op
-// without a tracer.
+// the scheduler runtime emits them exactly once, after its final window
+// closes. No-op without a tracer.
 func (r *Runner) CountArrangements() {
 	tr := r.Trace
 	if tr == nil {
@@ -275,13 +211,12 @@ func (r *Runner) CountArrangements() {
 }
 
 // report builds the cumulative modeled-work report.
-func (r *Runner) report(paces []int, wall time.Duration) *Report {
+func (r *Runner) report(paces []int) *Report {
 	rep := &Report{
 		Paces:        append([]int(nil), paces...),
 		SubplanTotal: make([]int64, len(r.Execs)),
 		SubplanFinal: make([]int64, len(r.Execs)),
 		QueryFinal:   make([]int64, r.Graph.Plan.NumQueries()),
-		Wall:         wall,
 	}
 	for i, se := range r.Execs {
 		rep.SubplanTotal[i] = se.TotalWork().Total()
@@ -298,8 +233,8 @@ func (r *Runner) report(paces []int, wall time.Duration) *Report {
 
 // ReportNow returns the cumulative modeled-work report of everything
 // executed so far, without running anything — the windowed (StartWindow /
-// RunSubplan) driving mode's equivalent of Run's return value.
-func (r *Runner) ReportNow() *Report { return r.report(nil, 0) }
+// RunWindow) driving mode's equivalent of Run's return value.
+func (r *Runner) ReportNow() *Report { return r.report(nil) }
 
 // arriveUpTo appends each table's deltas up to fraction j/p of the current
 // window's stream (the whole stream when StartWindow was never called).
@@ -317,8 +252,8 @@ func (r *Runner) arriveUpTo(j, p int) {
 }
 
 // StartWindow begins a new trigger window: the given deltas are appended to
-// each table's stream and become the window's arrivals, and fractions passed
-// to ArriveWindow are measured over them alone. Operator and buffer state
+// each table's stream and become the window's arrivals, and the fractions
+// Fire arrives are measured over them alone. Operator and buffer state
 // carries over — the engine keeps ingesting, as the paper's recurring
 // trigger windows do. The scheduler runtime (internal/sched) drives
 // multi-window executions through this; Run and RunParallel consume the
@@ -359,35 +294,6 @@ func (r *Runner) sealWindow() {
 	// reclaimed now that it is sealed — tombstone-style deferred expiry, so
 	// in-flight executions never see their state disappear.
 	r.reg.Sweep()
-}
-
-// ArriveWindow appends each table's deltas up to fraction j/p of the current
-// window's arrivals.
-func (r *Runner) ArriveWindow(j, p int) { r.arriveUpTo(j, p) }
-
-// RunSubplan performs one incremental execution of subplan id and returns
-// the execution's work — the per-execution reporting the scheduler runtime
-// charges against its clock. It stays a single inlinable expression: callers
-// that want the execution published to the tracer's counters pass the work
-// to CountWork from their own (sequential) accounting path.
-func (r *Runner) RunSubplan(id int) Work { return r.runOnce(id) }
-
-// traceProcess registers the runner's tracer process and per-subplan thread
-// tracks (tid 1+id) and returns the pid; zero with no tracer.
-func (r *Runner) traceProcess() int {
-	tr := r.Trace
-	if tr == nil {
-		return 0
-	}
-	name := r.TraceProcess
-	if name == "" {
-		name = "exec"
-	}
-	pid := tr.Process(name)
-	for _, s := range r.Graph.Subplans {
-		tr.Thread(pid, 1+s.ID, fmt.Sprintf("subplan %d", s.ID))
-	}
-	return pid
 }
 
 // CountWork publishes one execution's work to the tracer's shared counters —

@@ -131,7 +131,7 @@ func BenchmarkGroupLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewRunner(h.graph, data)
+		r, err := NewDeltaRunner(h.graph, InsertStream(data))
 		if err != nil {
 			b.Fatal(err)
 		}

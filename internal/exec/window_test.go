@@ -20,7 +20,7 @@ func TestWindowedRunMatchesSingleRun(t *testing.T) {
 	full := Dataset{"lineitem": rows}
 
 	_, want := func() (*Runner, []string) {
-		r, err := NewRunner(h.graph, full)
+		r, err := NewDeltaRunner(h.graph, InsertStream(full))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,9 +44,14 @@ func TestWindowedRunMatchesSingleRun(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		wr.StartWindow(DeltaDataset{"lineitem": deltas[w*4 : (w+1)*4]})
 		for j := 1; j <= 2; j++ {
-			wr.ArriveWindow(j, 2)
-			for id := range h.graph.Subplans {
-				if work := wr.RunSubplan(id); work.Total() <= 0 && j == 2 {
+			group := make([]Firing, len(h.graph.Subplans))
+			for id := range group {
+				group[id] = Firing{Subplan: id, Index: j, Pace: 2}
+			}
+			works := make([]Work, len(group))
+			wr.Fire(group, 1, works, nil)
+			for id, work := range works {
+				if work.Total() <= 0 && j == 2 {
 					t.Errorf("window %d firing %d subplan %d reported no work", w, j, id)
 				}
 			}
@@ -75,11 +80,11 @@ func TestArriveWindowFractions(t *testing.T) {
 	)})["lineitem"]
 
 	r.StartWindow(DeltaDataset{"lineitem": stream[:2]})
-	r.ArriveWindow(1, 2)
+	r.arriveUpTo(1, 2)
 	if log.Len() != 1 {
 		t.Errorf("after 1/2 of window 0: log has %d rows, want 1", log.Len())
 	}
-	r.ArriveWindow(2, 2)
+	r.arriveUpTo(2, 2)
 	if log.Len() != 2 {
 		t.Errorf("after window 0: log has %d rows, want 2", log.Len())
 	}
@@ -88,11 +93,11 @@ func TestArriveWindowFractions(t *testing.T) {
 	if log.Len() != 2 {
 		t.Errorf("StartWindow arrived data early: %d rows", log.Len())
 	}
-	r.ArriveWindow(1, 2)
+	r.arriveUpTo(1, 2)
 	if log.Len() != 3 {
 		t.Errorf("after 1/2 of window 1: log has %d rows, want 3", log.Len())
 	}
-	r.ArriveWindow(2, 2)
+	r.arriveUpTo(2, 2)
 	if log.Len() != 4 {
 		t.Errorf("after window 1: log has %d rows, want 4", log.Len())
 	}
@@ -103,15 +108,14 @@ func TestDebugSlowSubplanChargesFixedWork(t *testing.T) {
 		h := newHarness(t, map[string]string{
 			"q": "SELECT p_brand FROM part WHERE p_size > 10",
 		}, []string{"q"})
-		r, err := NewRunner(h.graph, Dataset{"part": partRows([3]interface{}{1, "A", 15})})
+		r, err := NewDeltaRunner(h.graph, InsertStream(Dataset{"part": partRows([3]interface{}{1, "A", 15})}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.ArriveWindow(1, 1)
 		return r
 	}
 
-	base := build().RunSubplan(0)
+	base := fireOne(build(), 0)
 
 	const penalty = 12345
 	DebugSlowSubplan = func(id int) int64 {
@@ -121,7 +125,7 @@ func TestDebugSlowSubplanChargesFixedWork(t *testing.T) {
 		return 0
 	}
 	defer func() { DebugSlowSubplan = nil }()
-	slow := build().RunSubplan(0)
+	slow := fireOne(build(), 0)
 
 	if got := slow.Fixed - base.Fixed; got != penalty {
 		t.Errorf("penalty charged = %d, want %d", got, penalty)

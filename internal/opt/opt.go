@@ -417,29 +417,12 @@ type Outcome struct {
 	TotalWork int64
 	// QueryFinal is the measured final work per global query index.
 	QueryFinal []int64
-	// Wall is the summed wall-clock execution time.
-	Wall time.Duration
 }
 
 // Execute runs every job over the dataset with fresh engine state.
 func Execute(p *Planned, ds exec.Dataset, numQueries int) (*Outcome, error) {
-	out := &Outcome{QueryFinal: make([]int64, numQueries)}
-	for _, job := range p.Jobs {
-		r, err := exec.NewRunner(job.Graph, ds)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := r.Run(job.Paces)
-		if err != nil {
-			return nil, err
-		}
-		out.TotalWork += rep.TotalWork
-		out.Wall += rep.Wall
-		for local, global := range job.QueryIDs {
-			out.QueryFinal[global] += rep.QueryFinal[local]
-		}
-	}
-	return out, nil
+	out, _, err := execute(p, ds, numQueries, false)
+	return out, err
 }
 
 // ExecuteWithCalibration runs the plan like Execute and additionally
@@ -447,10 +430,14 @@ func Execute(p *Planned, ds exec.Dataset, numQueries int) (*Outcome, error) {
 // output sizes — the feedback loop for recurring queries (paper §3.2).
 // Pass the returned Calibration in the next recurrence's Request.
 func ExecuteWithCalibration(p *Planned, ds exec.Dataset, numQueries int) (*Outcome, cost.Calibration, error) {
+	return execute(p, ds, numQueries, true)
+}
+
+func execute(p *Planned, ds exec.Dataset, numQueries int, calibrate bool) (*Outcome, cost.Calibration, error) {
 	out := &Outcome{QueryFinal: make([]int64, numQueries)}
 	merged := cost.Calibration{}
 	for _, job := range p.Jobs {
-		r, err := exec.NewRunner(job.Graph, ds)
+		r, err := exec.NewDeltaRunner(job.Graph, exec.InsertStream(ds))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -459,9 +446,11 @@ func ExecuteWithCalibration(p *Planned, ds exec.Dataset, numQueries int) (*Outco
 			return nil, nil, err
 		}
 		out.TotalWork += rep.TotalWork
-		out.Wall += rep.Wall
 		for local, global := range job.QueryIDs {
 			out.QueryFinal[global] += rep.QueryFinal[local]
+		}
+		if !calibrate {
+			continue
 		}
 		measuredWork := make([]float64, len(job.Graph.Subplans))
 		measuredFinal := make([]float64, len(job.Graph.Subplans))
@@ -492,7 +481,7 @@ func MeasuredBatchFinals(queries []plan.Query, ds exec.Dataset) ([]int64, error)
 		if err != nil {
 			return nil, err
 		}
-		r, err := exec.NewRunner(g, ds)
+		r, err := exec.NewDeltaRunner(g, exec.InsertStream(ds))
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"ishare/internal/delta"
 	"ishare/internal/exec"
 	"ishare/internal/mqo"
+	"ishare/internal/pace"
 	"ishare/internal/plan"
 	"ishare/internal/value"
 )
@@ -164,12 +165,9 @@ func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset) (*Mis
 		}
 		return mqo.Extract(sp)
 	}
-	runWindow := func(r *exec.Runner, g *mqo.Graph, k int) {
+	runWindow := func(r *exec.Runner, g *mqo.Graph, k int) error {
 		r.StartWindow(winData(k))
-		r.ArriveWindow(1, 1)
-		for id := 0; id < len(g.Subplans); id++ {
-			r.RunSubplan(id)
-		}
+		return r.RunWindow(pace.Ones(len(g.Subplans)), 1)
 	}
 
 	// From-scratch reference: the final slot layout, present from genesis,
@@ -183,7 +181,9 @@ func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset) (*Mis
 		return nil, fmt.Errorf("oracle: churn: final runner: %w", err)
 	}
 	for k := 0; k < W; k++ {
-		runWindow(ref, finalG, k)
+		if err := runWindow(ref, finalG, k); err != nil {
+			return nil, fmt.Errorf("oracle: churn: final run: %w", err)
+		}
 	}
 	refReport := ref.ReportNow()
 
@@ -254,7 +254,9 @@ func checkChurn(w *Workload, queries []plan.Query, data exec.DeltaDataset) (*Mis
 					return m, nil
 				}
 			}
-			runWindow(runner, g, k)
+			if err := runWindow(runner, g, k); err != nil {
+				return nil, fmt.Errorf("oracle: churn/%s: window %d: %w", mode, k, err)
+			}
 			if m := leak(k, "window"); m != nil {
 				return m, nil
 			}

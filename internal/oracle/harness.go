@@ -7,6 +7,7 @@ import (
 
 	"ishare/internal/exec"
 	"ishare/internal/mqo"
+	"ishare/internal/pace"
 	"ishare/internal/sched"
 )
 
@@ -17,7 +18,7 @@ type CheckOptions struct {
 	PaceVectors int
 	// MaxPace bounds each subplan's random pace.
 	MaxPace int
-	// Workers lists the RunParallel worker counts to exercise.
+	// Workers lists the Runner.RunParallel worker counts to exercise.
 	Workers []int
 	// Decompose also runs a fully unshared build, a random query
 	// partition, and an aggregate-cut extraction.
@@ -133,12 +134,7 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 		if err != nil {
 			return nil, fmt.Errorf("oracle: %s: %w", config, err)
 		}
-		if workers > 0 {
-			_, err = runner.RunParallel(paces, workers)
-		} else {
-			_, err = runner.Run(paces)
-		}
-		if err != nil {
+		if _, err := runner.RunParallel(paces, workers); err != nil {
 			return nil, fmt.Errorf("oracle: %s: %w", config, err)
 		}
 		for q := range queries {
@@ -166,7 +162,7 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 		}
 		return paces
 	}
-	ones := func(g *mqo.Graph) []int { return make1s(len(g.Subplans)) }
+	ones := func(g *mqo.Graph) []int { return pace.Ones(len(g.Subplans)) }
 
 	shared, err := buildGraph(mqo.BuildOptions{}, nil)
 	if err != nil {
@@ -174,13 +170,13 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 	}
 
 	// Batch at the trigger point: the ground configuration.
-	if m, err := run("shared/batch", shared, ones(shared), 0); m != nil || err != nil {
+	if m, err := run("shared/batch", shared, ones(shared), 1); m != nil || err != nil {
 		return m, err
 	}
 	// Pace-invariance: random pace vectors must not change results.
 	for i := 0; i < opts.PaceVectors; i++ {
 		paces := randPaces(shared)
-		if m, err := run(fmt.Sprintf("shared/paces=%v", paces), shared, paces, 0); m != nil || err != nil {
+		if m, err := run(fmt.Sprintf("shared/paces=%v", paces), shared, paces, 1); m != nil || err != nil {
 			return m, err
 		}
 	}
@@ -193,7 +189,9 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 		var refConfig string
 		for _, batch := range opts.BatchSizes {
 			config := fmt.Sprintf("shared/chunk=%d/paces=%v", batch, paces)
-			runner, err := exec.NewDeltaRunnerBatch(shared, data, batch)
+			o := exec.EnvOptions()
+			o.Batch = batch
+			runner, err := exec.New(shared, data, o)
 			if err != nil {
 				return nil, fmt.Errorf("oracle: %s: %w", config, err)
 			}
@@ -249,7 +247,9 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 			var refConfig string
 			for _, share := range []bool{true, false} {
 				config := fmt.Sprintf("%s/arrangements=%v/paces=%v", v.name, share, paces)
-				runner, err := exec.NewDeltaRunnerShare(v.g, data, share)
+				o := exec.EnvOptions()
+				o.Share = share
+				runner, err := exec.New(v.g, data, o)
 				if err != nil {
 					return nil, fmt.Errorf("oracle: %s: %w", config, err)
 				}
@@ -310,12 +310,18 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 		}
 		windows := 2 + r.Intn(2)
 		for _, v := range variants {
+			twos := make([]int, len(v.g.Subplans))
+			for i := range twos {
+				twos[i] = 2
+			}
 			var ref *exec.Report
 			var refConfig string
 			refSkippable := int64(-1)
 			for _, reuse := range []bool{true, false} {
 				config := fmt.Sprintf("%s/reuse=%v/windows=%d", v.name, reuse, windows)
-				runner, err := exec.NewDeltaRunnerReuse(v.g, exec.DeltaDataset{}, reuse)
+				o := exec.EnvOptions()
+				o.Reuse = reuse
+				runner, err := exec.New(v.g, exec.DeltaDataset{}, o)
 				if err != nil {
 					return nil, fmt.Errorf("oracle: %s: %w", config, err)
 				}
@@ -325,11 +331,8 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 						win[name] = ts[len(ts)*k/windows : len(ts)*(k+1)/windows]
 					}
 					runner.StartWindow(win)
-					for j := 1; j <= 2; j++ {
-						runner.ArriveWindow(j, 2)
-						for id := 0; id < len(v.g.Subplans); id++ {
-							runner.RunSubplan(id)
-						}
+					if err := runner.RunWindow(twos, 1); err != nil {
+						return nil, fmt.Errorf("oracle: %s: %w", config, err)
 					}
 				}
 				rep := runner.ReportNow()
@@ -440,7 +443,7 @@ func Check(w *Workload, opts CheckOptions) (*Mismatch, error) {
 		}
 		paces := randPaces(g)
 		config := fmt.Sprintf("%s/paces=%v", d.name, paces)
-		if m, err := run(config, g, paces, 0); m != nil || err != nil {
+		if m, err := run(config, g, paces, 1); m != nil || err != nil {
 			return m, err
 		}
 	}
@@ -454,14 +457,6 @@ func randomPartition(r *rand.Rand, n int) func(sig string, q int) int {
 		classes[i] = r.Intn(2)
 	}
 	return func(sig string, q int) int { return classes[q] }
-}
-
-func make1s(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
 }
 
 // reportDiff describes the first modeled-work divergence between two run

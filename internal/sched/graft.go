@@ -12,8 +12,8 @@ import (
 
 // Graft swaps the scheduler onto a new plan revision between windows: the
 // runner transplants or replays operator state (exec.Runner.Graft), then the
-// scheduler re-derives everything it sizes per subplan or per query — depth
-// vector, per-window accumulators, per-subplan counters and tracer threads —
+// scheduler re-derives everything it sizes per subplan or per query —
+// per-window accumulators, per-subplan counters and tracer threads —
 // from the new graph. Prior windows' Result entries and flushed metrics are
 // untouched: closeWindow has already settled them, so a run with grafts
 // produces a byte-identical prefix to the same run without.
@@ -64,16 +64,6 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 	s.paces = append([]int(nil), paces...)
 	s.cfg.Deadlines = append([]time.Duration(nil), deadlines...)
 	n := len(g.Subplans)
-	s.depth = make([]int, n)
-	for _, sub := range g.Subplans { // children-first order
-		d := 0
-		for _, c := range sub.Children {
-			if s.depth[c.ID]+1 > d {
-				d = s.depth[c.ID] + 1
-			}
-		}
-		s.depth[sub.ID] = d
-	}
 	s.finish = make([]time.Time, n)
 	s.spent = make([]time.Duration, n)
 	s.winSubExecs = make([]int64, n)

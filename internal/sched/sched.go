@@ -27,20 +27,14 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"ishare/internal/eventlog"
 	"ishare/internal/exec"
 	"ishare/internal/metrics"
 	"ishare/internal/mqo"
-	"ishare/internal/pace"
 	"ishare/internal/profile"
 	"ishare/internal/trace"
 	"ishare/internal/value"
@@ -189,11 +183,10 @@ type Scheduler struct {
 	clock  Clock
 	reg    *metrics.Registry
 	paces  []int
-	depth  []int // subplan depth: children strictly below parents
 
 	epoch    time.Time
 	window   int
-	firings  []pace.Firing
+	firings  []exec.Firing
 	pos      int
 	winStart time.Time
 	finish   []time.Time     // per-subplan completion instant, this window
@@ -201,6 +194,10 @@ type Scheduler struct {
 	maxLag   time.Duration
 	winWork  int64
 	winExecs int
+	// works and walls are the firing group's scratch outputs, reused
+	// across groups (a group fires each subplan at most once).
+	works []exec.Work
+	walls []int64
 
 	tr        *trace.Tracer
 	prof      *profile.Profiler
@@ -294,6 +291,9 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 	if cfg.LagThreshold == 0 {
 		cfg.LagThreshold = cfg.Window / 10
 	}
+	if cfg.Workers < 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -312,19 +312,9 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 		clock:  cfg.Clock,
 		reg:    cfg.Metrics,
 		paces:  append([]int(nil), paces...),
-		depth:  make([]int, len(g.Subplans)),
 		finish: make([]time.Time, len(g.Subplans)),
 		spent:  make([]time.Duration, len(g.Subplans)),
 		streak: make([]int, len(g.Subplans)),
-	}
-	for _, sub := range g.Subplans { // children-first order
-		d := 0
-		for _, c := range sub.Children {
-			if s.depth[c.ID]+1 > d {
-				d = s.depth[c.ID] + 1
-			}
-		}
-		s.depth[sub.ID] = d
 	}
 	// Per-subplan counters are created once up front so the per-firing hot
 	// loop pays two atomic adds, not a registry lookup plus key formatting.
@@ -353,7 +343,6 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 			tr.Thread(s.tracePid, 1+sub.ID, fmt.Sprintf("subplan %d", sub.ID))
 		}
 		runner.Trace = tr
-		runner.TraceProcess = name
 	}
 	return s, nil
 }
@@ -384,12 +373,9 @@ func (s *Scheduler) Tick() (bool, error) {
 			return false, err
 		}
 	}
-	end := s.pos + 1
-	for end < len(s.firings) && pace.SameFraction(s.firings[s.pos], s.firings[end]) {
-		end++
-	}
-	s.runGroup(s.firings[s.pos:end])
-	s.pos = end
+	group := exec.NextGroup(s.firings[s.pos:])
+	s.runGroup(group)
+	s.pos += len(group)
 	if s.pos >= len(s.firings) {
 		s.closeWindow()
 		s.firings, s.pos = nil, 0
@@ -420,7 +406,7 @@ func (s *Scheduler) Snapshot() metrics.Snapshot { return s.reg.Snapshot() }
 func (s *Scheduler) Paces() []int { return append([]int(nil), s.paces...) }
 
 func (s *Scheduler) openWindow() error {
-	fs, err := pace.ScheduleWindow(s.paces, s.cfg.Window)
+	fs, err := exec.Schedule(s.paces)
 	if err != nil {
 		return err
 	}
@@ -441,25 +427,30 @@ func (s *Scheduler) openWindow() error {
 	return nil
 }
 
-// runGroup executes every firing due at one instant. The subplans are run
-// in dependency waves (children strictly before parents) with up to
-// cfg.Workers goroutines per wave, but clock time is charged in canonical
-// order — firing order within the group — so schedules and metrics are
-// identical at any worker count.
-func (s *Scheduler) runGroup(group []pace.Firing) {
-	due := s.winStart.Add(group[0].Offset)
+// runGroup executes every firing due at one instant, Index/Pace of the way
+// through the window. The runner fires the group in dependency waves with
+// up to cfg.Workers goroutines per wave (exec.Runner.Fire), but clock time
+// is charged in canonical order — firing order within the group — so
+// schedules and metrics are identical at any worker count.
+func (s *Scheduler) runGroup(group []exec.Firing) {
+	f0 := group[0]
+	due := s.winStart.Add(time.Duration(int64(s.cfg.Window) * int64(f0.Index) / int64(f0.Pace)))
 	s.clock.WaitUntil(due)
 	groupStart := s.clock.Now()
 	if lag := groupStart.Sub(due); lag > s.maxLag {
 		s.maxLag = lag
 	}
-	s.runner.ArriveWindow(group[0].Index, group[0].Pace)
 
+	if len(s.works) < len(group) {
+		s.works = make([]exec.Work, len(s.graph.Subplans))
+		s.walls = make([]int64, len(s.graph.Subplans))
+	}
+	works := s.works[:len(group)]
 	var walls []int64
 	if s.prof != nil {
-		walls = make([]int64, len(group))
+		walls = s.walls[:len(group)]
 	}
-	works := s.execute(group, walls)
+	s.runner.Fire(group, s.cfg.Workers, works, walls)
 
 	lagHist := s.reg.Histogram("sched.exec_lag_ms", 1, 5, 10, 50, 100, 500, 1000, 5000)
 	execs := s.reg.Counter("sched.executions")
@@ -524,67 +515,6 @@ func (s *Scheduler) runGroup(group []pace.Firing) {
 			s.finish[f.Subplan] = now
 		}
 	}
-}
-
-// execute runs the group's subplans and returns their works, positionally
-// aligned with the group. Same-instant subplans at the same dependency
-// depth never feed each other, so each depth wave may fan out safely.
-// A non-nil walls receives each execution's measured wall nanoseconds
-// (captured on the executing goroutine — the profiler's nondeterministic
-// rider column); nil skips the clock reads entirely.
-func (s *Scheduler) execute(group []pace.Firing, walls []int64) []exec.Work {
-	works := make([]exec.Work, len(group))
-	workers := s.cfg.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(group) == 1 {
-		for i, f := range group {
-			if walls != nil {
-				t0 := time.Now()
-				works[i] = s.runner.RunSubplan(f.Subplan)
-				walls[i] = time.Since(t0).Nanoseconds()
-				continue
-			}
-			works[i] = s.runner.RunSubplan(f.Subplan)
-		}
-		return works
-	}
-	byDepth := map[int][]int{} // depth → group indexes
-	var depths []int
-	for i, f := range group {
-		d := s.depth[f.Subplan]
-		if len(byDepth[d]) == 0 {
-			depths = append(depths, d)
-		}
-		byDepth[d] = append(byDepth[d], i)
-	}
-	sort.Ints(depths)
-	sem := make(chan struct{}, workers)
-	for _, d := range depths {
-		var wg sync.WaitGroup
-		for _, i := range byDepth[d] {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				// Label the worker so CPU profiles attribute samples to
-				// the subplan and the sched phase (pprof tag filtering).
-				pprof.Do(context.Background(), pprof.Labels("phase", "sched", "subplan", strconv.Itoa(group[i].Subplan)), func(context.Context) {
-					if walls != nil {
-						t0 := time.Now()
-						works[i] = s.runner.RunSubplan(group[i].Subplan)
-						walls[i] = time.Since(t0).Nanoseconds()
-						return
-					}
-					works[i] = s.runner.RunSubplan(group[i].Subplan)
-				})
-			}(i)
-		}
-		wg.Wait()
-	}
-	return works
 }
 
 func (s *Scheduler) workDuration(w exec.Work) time.Duration {

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -248,4 +249,65 @@ func eqStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// mixedPaces cycles paces 3, 7, 5, 1 over the graph's subplans, so firing
+// groups mix coinciding and lone fractions.
+func mixedPaces(g *mqo.Graph) []int {
+	cycle := []int{3, 7, 5, 1}
+	paces := make([]int, len(g.Subplans))
+	for i := range paces {
+		paces[i] = cycle[i%len(cycle)]
+	}
+	return paces
+}
+
+// TestSchedulerFiresRunWork checks that the scheduler and Runner.Run drive
+// the same firings: one window at a mixed pace vector charges every subplan
+// exactly Run's SubplanTotal, sequentially and with wave fan-out.
+func TestSchedulerFiresRunWork(t *testing.T) {
+	tp := buildPlan(t, 2)
+	if len(tp.graph.Subplans) < 3 {
+		t.Fatalf("plan has %d subplans, want a multi-subplan plan", len(tp.graph.Subplans))
+	}
+	paces := mixedPaces(tp.graph)
+	r, err := exec.NewDeltaRunner(tp.graph, tp.data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.Run(paces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		s, _ := runOnce(t, tp, paces, 1, workers, 0)
+		counters := s.Snapshot().Counters
+		for i, w := range want.SubplanTotal {
+			if got := counters[fmt.Sprintf("sched.subplan.%d.work", i)]; got != w {
+				t.Errorf("workers=%d subplan %d: scheduler work %d, Run work %d", workers, i, got, w)
+			}
+		}
+	}
+}
+
+// TestSchedulerFinalFiringsAtWindowEnd checks that every subplan's final
+// firing is due exactly at its window's trigger point.
+func TestSchedulerFinalFiringsAtWindowEnd(t *testing.T) {
+	tp := buildPlan(t, 3)
+	paces := mixedPaces(tp.graph)
+	const windows = 2
+	s, _ := runOnce(t, tp, paces, windows, 1, 0)
+	finals := 0
+	for _, f := range s.Result().Trace {
+		if f.Index != f.Pace {
+			continue
+		}
+		finals++
+		if end := time.Duration(f.Window+1) * time.Second; f.Due != end {
+			t.Errorf("window %d: final firing of subplan %d due at %v, want %v", f.Window, f.Subplan, f.Due, end)
+		}
+	}
+	if finals != windows*len(paces) {
+		t.Errorf("%d final firings, want %d", finals, windows*len(paces))
+	}
 }

@@ -61,7 +61,7 @@ func TestAllQueriesIncrementalMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := exec.NewRunner(g, exec.Dataset(ds))
+			r, err := exec.NewDeltaRunner(g, exec.InsertStream(exec.Dataset(ds)))
 			if err != nil {
 				t.Fatal(err)
 			}

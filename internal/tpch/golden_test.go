@@ -33,7 +33,7 @@ func runSingle(t *testing.T, sf float64, seed int64, name string) ([][]string, D
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := exec.NewRunner(g, exec.Dataset(ds))
+	r, err := exec.NewDeltaRunner(g, exec.InsertStream(exec.Dataset(ds)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func TestEndToEndExecutionSmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := exec.NewRunner(g, exec.Dataset(ds))
+		r, err := exec.NewDeltaRunner(g, exec.InsertStream(exec.Dataset(ds)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestQ1Aggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := exec.NewRunner(g, exec.Dataset(ds))
+	r, err := exec.NewDeltaRunner(g, exec.InsertStream(exec.Dataset(ds)))
 	if err != nil {
 		t.Fatal(err)
 	}

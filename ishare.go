@@ -149,8 +149,8 @@ func (e *Engine) MustCreateTable(s TableSchema) {
 // user is willing to pay after the trigger point (1.0 = batch latency is
 // fine, 0.1 = one tenth of it). It is the paper's proxy for a latency goal.
 func (e *Engine) AddQuery(name, sql string, relConstraint float64) error {
-	if relConstraint <= 0 {
-		return fmt.Errorf("ishare: query %s: relative constraint must be positive", name)
+	if err := checkRel(name, relConstraint); err != nil {
+		return err
 	}
 	q, err := plan.ParseAndBindQuery(name, sql, e.cat)
 	if err != nil {
@@ -159,6 +159,15 @@ func (e *Engine) AddQuery(name, sql string, relConstraint float64) error {
 	e.queries = append(e.queries, q)
 	e.names = append(e.names, name)
 	e.rel = append(e.rel, relConstraint)
+	return nil
+}
+
+// checkRel rejects a relative constraint that is not a positive number —
+// written as !(rel > 0) so NaN is rejected too.
+func checkRel(name string, rel float64) error {
+	if !(rel > 0) {
+		return fmt.Errorf("ishare: query %s: relative constraint must be positive", name)
+	}
 	return nil
 }
 
@@ -437,17 +446,17 @@ func (r *Report) Results(query string) []Row {
 // to workers goroutines (0 selects GOMAXPROCS). Work accounting and results
 // are identical to Run; only wall-clock time changes.
 func (e *Engine) RunParallel(p *Plan, data map[string][]Row, workers int) (*Report, error) {
-	return e.run(p, data, true, workers)
+	return e.run(p, data, workers)
 }
 
 // Run executes the plan over the dataset: per table, the rows arriving
 // during the trigger window in arrival order. Engine state is fresh per
 // call.
 func (e *Engine) Run(p *Plan, data map[string][]Row) (*Report, error) {
-	return e.run(p, data, false, 0)
+	return e.run(p, data, 1)
 }
 
-func (e *Engine) run(p *Plan, data map[string][]Row, parallel bool, workers int) (*Report, error) {
+func (e *Engine) run(p *Plan, data map[string][]Row, workers int) (*Report, error) {
 	ds, err := e.convertDataset(data)
 	if err != nil {
 		return nil, err
@@ -457,16 +466,11 @@ func (e *Engine) run(p *Plan, data map[string][]Row, parallel bool, workers int)
 		results:   make(map[string][]value.Row, len(e.names)),
 	}
 	for ji, job := range p.planned.Jobs {
-		r, err := exec.NewRunner(job.Graph, ds)
+		r, err := exec.NewDeltaRunner(job.Graph, exec.InsertStream(ds))
 		if err != nil {
 			return nil, err
 		}
-		var jr *exec.Report
-		if parallel {
-			jr, err = r.RunParallel(job.Paces, workers)
-		} else {
-			jr, err = r.Run(job.Paces)
-		}
+		jr, err := r.RunParallel(job.Paces, workers)
 		if err != nil {
 			return nil, err
 		}

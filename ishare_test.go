@@ -2,6 +2,7 @@ package ishare
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sort"
 	"strconv"
@@ -149,7 +150,17 @@ func TestEngineErrors(t *testing.T) {
 	if err := e2.AddQuery("q", "SELECT o_customer FROM orders", 0); err == nil {
 		t.Error("zero constraint accepted")
 	}
+	if err := e2.AddQuery("q", "SELECT o_customer FROM orders", math.NaN()); err == nil {
+		t.Error("NaN constraint accepted")
+	}
 	e2.MustAddQuery("q", "SELECT o_customer FROM orders", 1)
+	s, err := e2.StartSession(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Admit("nan", "SELECT o_customer FROM orders", math.NaN()); err == nil {
+		t.Error("NaN admission constraint accepted")
+	}
 	p, err := e2.Optimize(Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,10 @@ package ishare
 
 import (
 	"fmt"
-	"time"
 
 	"ishare/internal/exec"
 	"ishare/internal/opt"
+	"ishare/internal/pace"
 	"ishare/internal/plan"
 	"ishare/internal/profile"
 )
@@ -117,11 +117,7 @@ func (e *Engine) StartSession(o Options) (*Session, error) {
 // per-subplan modeled work per window, the session profiler's drift
 // baseline. nil when the model cannot evaluate (drift then stays 0).
 func batchBaseline(live *opt.Live) []float64 {
-	ones := make([]int, len(live.Graph.Subplans))
-	for i := range ones {
-		ones[i] = 1
-	}
-	ev, err := live.Model.Evaluate(ones)
+	ev, err := live.Model.Evaluate(pace.Ones(len(live.Graph.Subplans)))
 	if err != nil {
 		return nil
 	}
@@ -156,8 +152,8 @@ func (s *Session) QueryNames() []string {
 // replaying the retained window history, so its results are identical to
 // having been registered before the first Step.
 func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, error) {
-	if relConstraint <= 0 {
-		return nil, fmt.Errorf("ishare: query %s: relative constraint must be positive", name)
+	if err := checkRel(name, relConstraint); err != nil {
+		return nil, err
 	}
 	if s.Slot(name) >= 0 {
 		return nil, fmt.Errorf("ishare: query %q already active", name)
@@ -234,13 +230,19 @@ func (s *Session) Step(data map[string][]Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	// Batch pace: every subplan fires once, as one trigger-point group.
+	batch, err := exec.Schedule(pace.Ones(len(s.live.Graph.Subplans)))
+	if err != nil {
+		return 0, err
+	}
+	works := make([]exec.Work, len(batch))
+	walls := make([]int64, len(batch))
 	s.runner.StartWindow(exec.InsertStream(ds))
-	s.runner.ArriveWindow(1, 1)
+	s.runner.Fire(batch, 1, works, walls)
 	var work int64
-	for id := 0; id < len(s.live.Graph.Subplans); id++ {
-		t0 := time.Now()
-		w := s.runner.RunSubplan(id).Total()
-		s.prof.Observe(id, w, time.Since(t0).Nanoseconds(), s.runner.Execs[id].LastBatches())
+	for i, f := range batch {
+		w := works[i].Total()
+		s.prof.Observe(f.Subplan, w, walls[i], s.runner.Execs[f.Subplan].LastBatches())
 		work += w
 	}
 	s.prof.FlushWindow(s.windows)
