@@ -34,7 +34,7 @@ type Event struct {
 	// the emitter's (virtual or real) clock.
 	AtNS int64 `json:"at_ns"`
 	// Type names the event: "window.close", "sched.degrade",
-	// "drift.alert", "graft", "arrangements", "admit", "retire", ...
+	// "drift.alert", "graft", "arrangements", ... (see KnownTypes).
 	Type string `json:"type"`
 	// Window is the trigger window the event belongs to (-1 when n/a).
 	Window int `json:"window"`
@@ -55,8 +55,6 @@ var KnownTypes = map[string]bool{
 	"sched.degrade":    true, // overload degradation decision (sched)
 	"drift.alert":      true, // observed/modeled drift EWMA out of band (sched)
 	"graft":            true, // live plan revision swap (sched)
-	"admit":            true, // query admission (session layer, via graft)
-	"retire":           true, // query retirement (session layer, via graft)
 	"arrangements":     true, // arrangement lifecycle deltas (sched)
 	"cost.recalibrate": true, // drift folded back into the cost model (sched)
 	"pace.research":    true, // warm-started pace re-search after recalibration (sched)

@@ -6,7 +6,6 @@ import (
 	"ishare/internal/buffer"
 	"ishare/internal/delta"
 	"ishare/internal/mqo"
-	"ishare/internal/trace"
 	"ishare/internal/value"
 	"ishare/internal/vec"
 )
@@ -29,9 +28,6 @@ type Runner struct {
 	Graph *mqo.Graph
 	Data  DeltaDataset
 	Execs []*SubplanExec
-	// Trace optionally receives the shared work and arrangement counters
-	// the scheduler runtime publishes (CountWork, CountArrangements).
-	Trace *trace.Tracer
 
 	tables   map[string]*buffer.Log
 	appended map[string]int
@@ -192,24 +188,6 @@ type Report struct {
 	QueryFinal []int64
 }
 
-// CountArrangements publishes the registry's sharing/memory accounting to
-// the tracer's counters. The values are end-state gauges, not deltas, so
-// the scheduler runtime emits them exactly once, after its final window
-// closes. No-op without a tracer.
-func (r *Runner) CountArrangements() {
-	tr := r.Trace
-	if tr == nil {
-		return
-	}
-	st := r.reg.Stats()
-	tr.Count("exec.arr.live", int64(st.Live))
-	tr.Count("exec.arr.handles", int64(st.Handles))
-	tr.Count("exec.arr.multiuse", int64(st.MultiUse))
-	tr.Count("exec.arr.entries", st.Entries)
-	tr.Count("exec.arr.built", st.Built)
-	tr.Count("exec.arr.shared_attaches", st.SharedAttaches)
-}
-
 // report builds the cumulative modeled-work report.
 func (r *Runner) report(paces []int) *Report {
 	rep := &Report{
@@ -294,25 +272,6 @@ func (r *Runner) sealWindow() {
 	// reclaimed now that it is sealed — tombstone-style deferred expiry, so
 	// in-flight executions never see their state disappear.
 	r.reg.Sweep()
-}
-
-// CountWork publishes one execution's work to the tracer's shared counters —
-// the same attribution path the scheduler runtime's per-subplan metrics use.
-// Counter adds commute, so concurrent executions leave totals deterministic.
-// No-op without a tracer.
-func (r *Runner) CountWork(w Work) {
-	tr := r.Trace
-	if tr == nil {
-		return
-	}
-	tr.Count("exec.executions", 1)
-	tr.Count("exec.tuples", w.Tuples)
-	tr.Count("exec.state", w.State)
-	tr.Count("exec.output", w.Output)
-	if w.Rescan > 0 {
-		tr.Count("exec.rescans", 1)
-		tr.Count("exec.rescan_work", w.Rescan)
-	}
 }
 
 // SetShareArrangements flips arrangement sharing for operators attached

@@ -8,13 +8,15 @@
 // layer; today the profiles feed the event log, the statusz endpoint and the
 // ishare facade.
 //
-// Determinism: Observe and FlushWindow are driven from the scheduler's
-// canonical accounting loop (never from worker goroutines), and drift is a
-// pure function of modeled work counts — the observed side is the engine's
-// deterministic Work units, not wall time — so profiles, EWMAs and alerts
-// are byte-identical at any worker count and reproducible on a VirtualClock.
-// Measured wall nanoseconds ride along as an extra field; they are the one
-// nondeterministic column and are never part of drift or of golden logs.
+// Determinism: the profiler owns no per-firing state. The scheduler keeps
+// one per-subplan window accumulator (a []Sample filled once per firing in
+// its canonical accounting loop, never on worker goroutines) and hands it to
+// FlushWindow at window close. Drift is a pure function of modeled work
+// counts — the observed side is the engine's deterministic Work units, not
+// wall time — so profiles, EWMAs and alerts are byte-identical at any worker
+// count and reproducible on a VirtualClock. Measured wall nanoseconds ride
+// along as an extra field; they are the one nondeterministic column and are
+// never part of drift or of golden logs.
 //
 // A nil *Profiler is the disabled profiler: every method no-ops behind a
 // single pointer check and allocates nothing, following the tracer's
@@ -83,25 +85,18 @@ type Config struct {
 	Capacity int
 }
 
-// Profiler accumulates per-subplan window profiles. All methods must be
+// Profiler records per-subplan window profiles. All methods must be
 // called from one goroutine (the scheduler's canonical accounting loop);
 // nil receivers no-op.
 type Profiler struct {
 	cfg Config
 
-	// Current-window accumulators, reset at each flush.
-	work    []int64
-	wall    []int64
-	firings []int
-	batches []int64
-
 	// ewma is the per-subplan drift EWMA; NaN marks "no observation with a
 	// baseline yet".
 	ewma []float64
 
-	ring  []Sample // circular, rlen valid entries ending before rpos
+	ring  []Sample // circular once full; the oldest entry sits at rpos
 	rpos  int
-	rlen  int
 	total int // samples ever recorded (diagnostics)
 
 	alerts []Alert // every alert raised, in order
@@ -136,21 +131,10 @@ func New(cfg Config) *Profiler {
 	return p
 }
 
-// size (re)allocates the per-subplan state for n subplans, preserving the
-// EWMA of subplan ids that survive (plan grafts keep subplan ids
+// size (re)allocates the per-subplan drift state for n subplans, preserving
+// the EWMA of subplan ids that survive (plan grafts keep subplan ids
 // slot-stable, so a surviving id is the same logical subplan).
 func (p *Profiler) size(n int) {
-	grow := func(s []int64) []int64 {
-		out := make([]int64, n)
-		copy(out, s)
-		return out
-	}
-	p.work = grow(p.work)
-	p.wall = grow(p.wall)
-	p.batches = grow(p.batches)
-	f := make([]int, n)
-	copy(f, p.firings)
-	p.firings = f
 	e := make([]float64, n)
 	for i := range e {
 		e[i] = math.NaN()
@@ -170,19 +154,6 @@ func (p *Profiler) Subplans() int {
 	return p.cfg.Subplans
 }
 
-// Observe accumulates one firing into the current window: the execution's
-// modeled work, its measured wall nanoseconds and the vectorized chunks it
-// processed. Called once per firing from the canonical accounting loop.
-func (p *Profiler) Observe(subplan int, work, wallNS, batches int64) {
-	if p == nil || subplan < 0 || subplan >= len(p.work) {
-		return
-	}
-	p.work[subplan] += work
-	p.wall[subplan] += wallNS
-	p.batches[subplan] += batches
-	p.firings[subplan]++
-}
-
 // modeledAt resolves the baseline for one subplan in one window.
 func (p *Profiler) modeledAt(window, subplan int) float64 {
 	if p.cfg.ModeledAt != nil {
@@ -194,25 +165,28 @@ func (p *Profiler) modeledAt(window, subplan int) float64 {
 	return 0
 }
 
-// FlushWindow closes the window: for every subplan that fired, it records a
-// Sample into the ring and — when the window has a positive baseline —
-// folds the window's observed/modeled ratio into the subplan's drift EWMA,
-// raising an Alert if the EWMA leaves [1/Bound, Bound]. It returns the
-// window's samples (valid until the next flush overwrites the ring) and the
-// alerts raised. Nil receivers return nothing.
-func (p *Profiler) FlushWindow(window int) ([]Sample, []Alert) {
+// FlushWindow closes the window from obs, the window's per-subplan
+// accumulator indexed by subplan id (Firings, Work, WallNS and Batches
+// summed over the window's firings; other fields are ignored). For every
+// subplan that fired it records a Sample into the ring and — when the
+// window has a positive baseline — folds the window's observed/modeled
+// ratio into the subplan's drift EWMA, raising an Alert if the EWMA leaves
+// [1/Bound, Bound]. It returns the window's samples (valid until the next
+// flush overwrites the ring) and the alerts raised. obs is only read. Nil
+// receivers return nothing.
+func (p *Profiler) FlushWindow(window int, obs []Sample) ([]Sample, []Alert) {
 	if p == nil {
 		return nil, nil
 	}
 	firstAlert := len(p.alerts)
 	var first, n int = -1, 0
-	for sub := range p.work {
-		if p.firings[sub] == 0 {
+	for sub, o := range obs[:min(len(obs), len(p.ewma))] {
+		if o.Firings == 0 {
 			continue
 		}
 		modeled := p.modeledAt(window, sub)
 		if modeled > 0 {
-			ratio := float64(p.work[sub]) / modeled
+			ratio := float64(o.Work) / modeled
 			if math.IsNaN(p.ewma[sub]) {
 				p.ewma[sub] = ratio
 			} else {
@@ -221,26 +195,24 @@ func (p *Profiler) FlushWindow(window int) ([]Sample, []Alert) {
 			if e := p.ewma[sub]; e > p.cfg.Bound || e < 1/p.cfg.Bound {
 				p.alerts = append(p.alerts, Alert{
 					Window: window, Subplan: sub,
-					Drift: e, Modeled: modeled, Work: p.work[sub],
+					Drift: e, Modeled: modeled, Work: o.Work,
 				})
 			}
 		}
-		s := Sample{
+		at := p.push(Sample{
 			Window:  window,
 			Subplan: sub,
 			Modeled: modeled,
-			Work:    p.work[sub],
-			WallNS:  p.wall[sub],
-			Firings: p.firings[sub],
-			Batches: p.batches[sub],
+			Work:    o.Work,
+			WallNS:  o.WallNS,
+			Firings: o.Firings,
+			Batches: o.Batches,
 			Drift:   p.Drift(sub),
-		}
-		at := p.push(s)
+		})
 		if first < 0 {
 			first = at
 		}
 		n++
-		p.work[sub], p.wall[sub], p.batches[sub], p.firings[sub] = 0, 0, 0, 0
 	}
 	var out []Sample
 	if n > 0 {
@@ -261,35 +233,27 @@ func (p *Profiler) FlushWindow(window int) ([]Sample, []Alert) {
 // full, and returns the index it landed at.
 func (p *Profiler) push(s Sample) int {
 	p.total++
+	at := p.rpos
 	if len(p.ring) < cap(p.ring) {
 		p.ring = append(p.ring, s)
-		p.rlen = len(p.ring)
-		p.rpos = len(p.ring) % cap(p.ring)
-		return len(p.ring) - 1
+	} else {
+		p.ring[at] = s
 	}
-	at := p.rpos
-	p.ring[at] = s
-	p.rpos = (p.rpos + 1) % len(p.ring)
-	if p.rlen < len(p.ring) {
-		p.rlen++
-	}
+	p.rpos = (at + 1) % cap(p.ring)
 	return at
 }
 
 // Samples returns the retained profiles in chronological order (oldest
 // first). The slice is freshly allocated.
 func (p *Profiler) Samples() []Sample {
-	if p == nil || p.rlen == 0 {
+	if p == nil || len(p.ring) == 0 {
 		return nil
 	}
-	out := make([]Sample, 0, p.rlen)
-	if len(p.ring) < cap(p.ring) || p.rlen < len(p.ring) {
-		// Not yet wrapped.
-		return append(out, p.ring[:p.rlen]...)
-	}
+	// Before the ring wraps, rpos is 0 or its length, so one of the two
+	// appends is empty.
+	out := make([]Sample, 0, len(p.ring))
 	out = append(out, p.ring[p.rpos:]...)
-	out = append(out, p.ring[:p.rpos]...)
-	return out
+	return append(out, p.ring[:p.rpos]...)
 }
 
 // Recorded returns how many samples were ever recorded, including those the
@@ -362,21 +326,12 @@ func (p *Profiler) Rebase(modeled []float64) {
 // given baseline (nil disables drift updates until SetModeled). Surviving
 // subplan ids keep their drift EWMA — graft keeps ids slot-stable — while
 // ids beyond the new count are dropped and brand-new ids start unobserved.
-// Pending window accumulators are discarded: grafts happen between windows,
-// when they are empty.
 func (p *Profiler) Graft(n int, modeled []float64) {
 	if p == nil || n < 1 {
 		return
 	}
 	if modeled != nil && len(modeled) != n {
 		modeled = nil
-	}
-	if n < p.cfg.Subplans {
-		p.work = p.work[:n]
-		p.wall = p.wall[:n]
-		p.batches = p.batches[:n]
-		p.firings = p.firings[:n]
-		p.ewma = p.ewma[:n]
 	}
 	p.cfg.Subplans = n
 	p.size(n)

@@ -25,12 +25,19 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// fire returns an n-subplan window accumulator in which subplan sub fired
+// once with the given work.
+func fire(n, sub int, work int64) []Sample {
+	obs := make([]Sample, n)
+	obs[sub] = Sample{Firings: 1, Work: work}
+	return obs
+}
+
 func TestDriftEWMAAndAlerts(t *testing.T) {
 	p := New(Config{Subplans: 2, Modeled: []float64{100, 100}, Alpha: 0.5, Bound: 2})
 
 	// Window 0: ratio exactly 1 → EWMA seeds at 1, no alert.
-	p.Observe(0, 100, 7, 3)
-	samples, alerts := p.FlushWindow(0)
+	samples, alerts := p.FlushWindow(0, []Sample{{Firings: 1, Work: 100, WallNS: 7, Batches: 3}, {}})
 	if len(alerts) != 0 {
 		t.Fatalf("window 0: unexpected alerts %+v", alerts)
 	}
@@ -47,8 +54,7 @@ func TestDriftEWMAAndAlerts(t *testing.T) {
 
 	// Window 1: ratio 3 → EWMA 0.5·3 + 0.5·1 = 2, not strictly above the
 	// bound yet.
-	p.Observe(0, 300, 0, 0)
-	if _, alerts := p.FlushWindow(1); len(alerts) != 0 {
+	if _, alerts := p.FlushWindow(1, fire(2, 0, 300)); len(alerts) != 0 {
 		t.Fatalf("window 1: unexpected alerts %+v", alerts)
 	}
 	if got := p.Drift(0); got != 2 {
@@ -56,8 +62,7 @@ func TestDriftEWMAAndAlerts(t *testing.T) {
 	}
 
 	// Window 2: ratio 3 again → EWMA 2.5 > 2 → alert.
-	p.Observe(0, 300, 0, 0)
-	_, alerts = p.FlushWindow(2)
+	_, alerts = p.FlushWindow(2, fire(2, 0, 300))
 	if len(alerts) != 1 {
 		t.Fatalf("window 2: alerts = %+v, want exactly one", alerts)
 	}
@@ -77,16 +82,14 @@ func TestDriftEWMAAndAlerts(t *testing.T) {
 
 func TestUndershootAlert(t *testing.T) {
 	p := New(Config{Subplans: 1, Modeled: []float64{100}, Alpha: 1, Bound: 2})
-	p.Observe(0, 10, 0, 0) // ratio 0.1 < 1/2
-	if _, alerts := p.FlushWindow(0); len(alerts) != 1 {
+	if _, alerts := p.FlushWindow(0, fire(1, 0, 10)); len(alerts) != 1 {
 		t.Fatalf("undershoot did not alert: %+v", alerts)
 	}
 }
 
 func TestNoBaselineNoDrift(t *testing.T) {
 	p := New(Config{Subplans: 1})
-	p.Observe(0, 500, 0, 0)
-	samples, alerts := p.FlushWindow(0)
+	samples, alerts := p.FlushWindow(0, fire(1, 0, 500))
 	if len(alerts) != 0 {
 		t.Fatalf("alerts without a baseline: %+v", alerts)
 	}
@@ -94,8 +97,7 @@ func TestNoBaselineNoDrift(t *testing.T) {
 		t.Fatalf("samples = %+v", samples)
 	}
 	p.SetModeled([]float64{500})
-	p.Observe(0, 500, 0, 0)
-	if _, alerts := p.FlushWindow(1); len(alerts) != 0 {
+	if _, alerts := p.FlushWindow(1, fire(1, 0, 500)); len(alerts) != 0 {
 		t.Fatalf("calibrated window alerted: %+v", alerts)
 	}
 	if got := p.Drift(0); got != 1 {
@@ -109,8 +111,7 @@ func TestModeledAtOverridesModeled(t *testing.T) {
 		Modeled:   []float64{1}, // would make ratio 100
 		ModeledAt: func(window, subplan int) float64 { return 100 },
 	})
-	p.Observe(0, 100, 0, 0)
-	if _, alerts := p.FlushWindow(0); len(alerts) != 0 {
+	if _, alerts := p.FlushWindow(0, fire(1, 0, 100)); len(alerts) != 0 {
 		t.Fatalf("ModeledAt did not win over Modeled: %+v", alerts)
 	}
 }
@@ -118,8 +119,7 @@ func TestModeledAtOverridesModeled(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	p := New(Config{Subplans: 1, Capacity: 4})
 	for w := 0; w < 6; w++ {
-		p.Observe(0, int64(w+1), 0, 0)
-		p.FlushWindow(w)
+		p.FlushWindow(w, fire(1, 0, int64(w+1)))
 	}
 	if got := p.Recorded(); got != 6 {
 		t.Errorf("Recorded() = %d, want 6", got)
@@ -137,24 +137,25 @@ func TestRingEviction(t *testing.T) {
 
 func TestFlushReturnsOnlyFiredSubplans(t *testing.T) {
 	p := New(Config{Subplans: 3})
-	p.Observe(0, 10, 0, 0)
-	p.Observe(2, 30, 0, 0)
-	samples, _ := p.FlushWindow(0)
+	obs := fire(3, 0, 10)
+	obs[2] = Sample{Firings: 1, Work: 30}
+	samples, _ := p.FlushWindow(0, obs)
 	if len(samples) != 2 || samples[0].Subplan != 0 || samples[1].Subplan != 2 {
 		t.Fatalf("samples = %+v", samples)
 	}
-	// Accumulators reset: a later flush records nothing.
-	if samples, _ := p.FlushWindow(1); len(samples) != 0 {
+	// A window in which nothing fired records nothing.
+	if samples, _ := p.FlushWindow(1, make([]Sample, 3)); len(samples) != 0 {
 		t.Fatalf("empty window produced samples: %+v", samples)
 	}
 }
 
 func TestGraftPreservesSurvivingEWMA(t *testing.T) {
 	p := New(Config{Subplans: 3, Modeled: []float64{100, 100, 100}, Alpha: 1})
-	for sub := 0; sub < 3; sub++ {
-		p.Observe(sub, int64(100*(sub+1)), 0, 0)
+	obs := make([]Sample, 3)
+	for sub := range obs {
+		obs[sub] = Sample{Firings: 1, Work: int64(100 * (sub + 1))}
 	}
-	p.FlushWindow(0)
+	p.FlushWindow(0, obs)
 
 	p.Graft(2, nil) // shrink: subplan 2 dropped
 	if got := p.Subplans(); got != 2 {
@@ -170,8 +171,7 @@ func TestGraftPreservesSurvivingEWMA(t *testing.T) {
 		t.Fatalf("Drifts() after grow = %v", d)
 	}
 	// New ids start unobserved; survivors keep folding into their EWMA.
-	p.Observe(3, 100, 0, 0)
-	if _, alerts := p.FlushWindow(1); len(alerts) != 0 {
+	if _, alerts := p.FlushWindow(1, fire(4, 3, 100)); len(alerts) != 0 {
 		t.Fatalf("fresh id alerted on a calibrated window: %+v", alerts)
 	}
 	if got := p.Drift(3); got != 1 {
@@ -184,8 +184,8 @@ func TestNilProfilerNoOps(t *testing.T) {
 	if p.Enabled() {
 		t.Error("nil profiler reports enabled")
 	}
-	p.Observe(0, 1, 2, 3)
-	if s, a := p.FlushWindow(0); s != nil || a != nil {
+	obs := fire(1, 0, 1)
+	if s, a := p.FlushWindow(0, obs); s != nil || a != nil {
 		t.Error("nil FlushWindow returned data")
 	}
 	if p.Samples() != nil || p.Alerts() != nil || p.Drifts() != nil {
@@ -198,8 +198,7 @@ func TestNilProfilerNoOps(t *testing.T) {
 	p.Graft(2, nil)
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		p.Observe(0, 1, 2, 3)
-		p.FlushWindow(0)
+		p.FlushWindow(0, obs)
 		_ = p.Drift(0)
 	}); allocs != 0 {
 		t.Errorf("nil profiler allocates %v per run, want 0", allocs)

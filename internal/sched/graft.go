@@ -6,15 +6,14 @@ import (
 
 	"ishare/internal/cost"
 	"ishare/internal/exec"
-	"ishare/internal/metrics"
 	"ishare/internal/mqo"
 )
 
 // Graft swaps the scheduler onto a new plan revision between windows: the
 // runner transplants or replays operator state (exec.Runner.Graft), then the
 // scheduler re-derives everything it sizes per subplan or per query —
-// per-window accumulators, per-subplan counters and tracer threads —
-// from the new graph. Prior windows' Result entries and flushed metrics are
+// per-window accumulators, per-subplan counters and tracer threads (sizeFor)
+// — from the new graph. Prior windows' Result entries and flushed metrics are
 // untouched: closeWindow has already settled them, so a run with grafts
 // produces a byte-identical prefix to the same run without.
 //
@@ -44,7 +43,8 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 	if err != nil {
 		return nil, err
 	}
-	arr := s.flushArrangeStats()
+	delta := s.takeStats()
+	s.countStats(delta)
 	// Graft keeps subplan ids slot-stable, so the profiler preserves the
 	// drift EWMA of surviving ids; the baseline is cleared until the caller
 	// supplies one for the new revision (profile.SetModeled).
@@ -55,46 +55,26 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 			"subplans": len(g.Subplans), "queries": g.Plan.NumQueries(),
 			"adopted": stats.Adopted, "rebuilt": stats.Rebuilt,
 			"replayed":            stats.Replayed,
-			"arrangements_built":  arr.Built,
+			"arrangements_built":  delta.arr.Built,
 			"arrangements_shared": stats.ArrangementsShared,
 			"arrangements_freed":  stats.ArrangementsFreed,
 		})
 	}
-	s.graph = g
 	s.paces = append([]int(nil), paces...)
 	s.cfg.Deadlines = append([]time.Duration(nil), deadlines...)
-	n := len(g.Subplans)
-	s.finish = make([]time.Time, n)
-	s.spent = make([]time.Duration, n)
-	s.winSubExecs = make([]int64, n)
-	s.winSubWork = make([]int64, n)
+	s.sizeFor(g)
 	// The recalibration trigger restarts from scratch on the new revision:
-	// alert streaks describe the old graph's subplans, and the policy's
-	// model — if one is installed — was built over the old graph. A model
+	// sizeFor cleared the alert streaks, which describe the old graph's
+	// subplans, and the policy's model — if one is installed — was built over the old graph. A model
 	// over the new graph starts uncalibrated (the profiler's baseline is
 	// cleared too, so no alerts fire until the caller rebases); constraints
 	// that no longer fit the new query count disable the policy entirely.
-	s.streak = make([]int, n)
 	s.recalCooldown = 0
 	if rp := s.cfg.Recalibrate; rp != nil {
 		if len(rp.Constraints) == g.Plan.NumQueries() {
 			rp.Model = cost.NewModel(g)
 		} else {
 			s.cfg.Recalibrate = nil
-		}
-	}
-	s.flushReuseStats()
-	// Counters are registry-backed by name, so a subplan ID that exists in
-	// both revisions keeps accumulating into the same counter.
-	s.subExecs = make([]*metrics.Counter, n)
-	s.subWork = make([]*metrics.Counter, n)
-	for i := 0; i < n; i++ {
-		s.subExecs[i] = s.reg.Counter(fmt.Sprintf("sched.subplan.%d.executions", i))
-		s.subWork[i] = s.reg.Counter(fmt.Sprintf("sched.subplan.%d.work", i))
-	}
-	if s.tr != nil {
-		for _, sub := range g.Subplans {
-			s.tr.Thread(s.tracePid, 1+sub.ID, fmt.Sprintf("subplan %d", sub.ID))
 		}
 	}
 	return stats, nil

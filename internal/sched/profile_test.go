@@ -3,6 +3,7 @@ package sched_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -291,12 +292,52 @@ func TestGoldenEventLog(t *testing.T) {
 func TestObservabilityZeroCostWhenDisabled(t *testing.T) {
 	var prof *profile.Profiler
 	var ev *eventlog.Log
+	win := make([]profile.Sample, 4)
+	win[3] = profile.Sample{Firings: 1, Work: 100, WallNS: 50, Batches: 2}
 	if allocs := testing.AllocsPerRun(200, func() {
-		prof.Observe(3, 100, 50, 2)
-		prof.FlushWindow(1)
+		prof.FlushWindow(1, win)
 		_ = prof.Drift(3)
 		ev.Emit("window.close", 1, 0, -1, -1, nil)
 	}); allocs != 0 {
 		t.Errorf("disabled observability allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestProfileMatchesWindowRecord: the profiler's samples, the per-window
+// stats and the per-subplan counters are read from one window record, so
+// they agree exactly, and a profiled run fills the physical columns (wall
+// time and vectorized batches) the benchmark's traced pass reads.
+func TestProfileMatchesWindowRecord(t *testing.T) {
+	tp := buildPlan(t, 5)
+	paces := randPaces(rand.New(rand.NewSource(5)), tp.graph, 6)
+	const windows = 3
+	prof := profile.New(profile.Config{Subplans: len(tp.graph.Subplans)})
+	s, _ := runObserved(t, tp, paces, windows, obsOpts{prof: prof, workers: 4})
+
+	firings := make([]int, windows)
+	work := make([]int64, windows)
+	subWork := make([]int64, len(tp.graph.Subplans))
+	var wall, batches int64
+	for _, sm := range prof.Samples() {
+		firings[sm.Window] += sm.Firings
+		work[sm.Window] += sm.Work
+		subWork[sm.Subplan] += sm.Work
+		wall += sm.WallNS
+		batches += sm.Batches
+	}
+	for w, ws := range s.Result().Windows {
+		if firings[w] != ws.Executions || work[w] != ws.Work {
+			t.Errorf("window %d: samples hold %d firings / %d work, stats %d / %d",
+				w, firings[w], work[w], ws.Executions, ws.Work)
+		}
+	}
+	counters := s.Snapshot().Counters
+	for i, w := range subWork {
+		if got := counters[fmt.Sprintf("sched.subplan.%d.work", i)]; got != w {
+			t.Errorf("subplan %d: counter %d, samples %d", i, got, w)
+		}
+	}
+	if wall <= 0 || batches <= 0 {
+		t.Errorf("profiled run left physical columns empty: wall %d ns, %d batches", wall, batches)
 	}
 }

@@ -81,7 +81,8 @@ type Config struct {
 	Trace bool
 	// Tracer optionally receives the run's spans: per-firing execution
 	// spans on per-subplan tracks, a window span plus deadline-settlement
-	// instants on the control track (tid 0), and degradation decisions.
+	// instants on the control track (tid 0), degradation and recalibration
+	// decisions, and the exec.* work and arrangement counters.
 	// Span offsets come from the canonical sequential accounting loop, so
 	// exports are byte-identical at any Workers setting.
 	Tracer *trace.Tracer
@@ -113,9 +114,10 @@ type Config struct {
 	// persist for Persistence consecutive windows, the scheduler folds the
 	// observed drift back into the cost model and re-searches the pace
 	// vector (warm-started from the live memo), swapping it at the window
-	// boundary. Requires Profile. nil disables. A recalibration preempts
-	// degradation in the window that triggers it — retuning the model
-	// subsumes the blunt pace-halving response.
+	// boundary. nil disables; New rejects a policy that could never fire
+	// (no Model, no Profile, MaxPace < 1, or not one constraint per query).
+	// A recalibration preempts degradation in the window that triggers it —
+	// retuning the model subsumes the blunt pace-halving response.
 	Recalibrate *RecalibratePolicy
 }
 
@@ -182,6 +184,7 @@ type Scheduler struct {
 	src    Source
 	clock  Clock
 	reg    *metrics.Registry
+	m      schedMetrics
 	paces  []int
 
 	epoch    time.Time
@@ -192,8 +195,14 @@ type Scheduler struct {
 	finish   []time.Time     // per-subplan completion instant, this window
 	spent    []time.Duration // per-subplan pre-trigger execution time, this window
 	maxLag   time.Duration
-	winWork  int64
-	winExecs int
+	// win is the window record's per-subplan accumulator: every firing is
+	// counted into it exactly once, in the canonical accounting loop, and
+	// at window close the metrics counters, the profiler and WindowStats
+	// all read it (see closeWindow).
+	win []profile.Sample
+	// stats is the runner's arrangement and reuse accounting as of the last
+	// window close or graft (see takeStats).
+	stats runnerStats
 	// works and walls are the firing group's scratch outputs, reused
 	// across groups (a group fires each subplan at most once).
 	works []exec.Work
@@ -207,16 +216,6 @@ type Scheduler struct {
 	traceBase time.Duration      // scheduler epoch's offset on the tracer timeline
 	subExecs  []*metrics.Counter // per-subplan execution counters
 	subWork   []*metrics.Counter // per-subplan work counters
-	// Per-window accumulators for the counters above: the canonical
-	// accounting loop is single-threaded, so plain increments here and one
-	// atomic flush per window keep the per-firing hot path free of atomics.
-	winSubExecs []int64
-	winSubWork  []int64
-	// lastArr is the arrangement registry's lifetime counters at the last
-	// flush, so window metrics carry per-window deltas.
-	lastArr exec.ArrangeStats
-	// lastReuse mirrors lastArr for the runner's reuse counters.
-	lastReuse exec.ReuseStats
 	// streak counts each subplan's consecutive alert windows for the
 	// recalibration trigger; recalCooldown disarms it after a firing.
 	streak        []int
@@ -226,42 +225,77 @@ type Scheduler struct {
 	done bool
 }
 
-// flushArrangeStats publishes the runner's arrangement accounting: lifetime
-// counters as deltas since the last flush (so each window's metrics describe
-// that window), called at window close and after a graft. It returns the
-// deltas so callers can put them on the event log.
-func (s *Scheduler) flushArrangeStats() exec.ArrangeStats {
-	st := s.runner.ArrangeStats()
-	d := exec.ArrangeStats{
-		Built:          st.Built - s.lastArr.Built,
-		SharedAttaches: st.SharedAttaches - s.lastArr.SharedAttaches,
-		Freed:          st.Freed - s.lastArr.Freed,
-	}
-	s.reg.Counter("exec.arrangements.built").Add(d.Built)
-	s.reg.Counter("exec.arrangements.shared_attaches").Add(d.SharedAttaches)
-	s.reg.Counter("exec.arrangements.freed").Add(d.Freed)
-	s.lastArr = st
-	return d
+// schedMetrics holds the registry handles the scheduler updates on every
+// firing group or window close, resolved once in New rather than by name
+// under the registry lock each time. Every one of them exists after the
+// first window closes in any case. Counters for occasional facts
+// (overloads, degradations, recalibrations, reuse) are still created when
+// the fact first occurs, so a snapshot names them only once they happened.
+type schedMetrics struct {
+	lag, slack                      *metrics.Histogram
+	execs, work                     *metrics.Counter
+	windows, met, missed            *metrics.Counter
+	arrBuilt, arrShared, arrFreed   *metrics.Counter
+	window, liveQueries, lastMaxLag *metrics.Gauge
 }
 
-// flushReuseStats publishes the runner's reuse accounting as per-window
-// deltas, mirroring flushArrangeStats. The skippable column (clean-cone
-// firings, counted whether or not the knob is on) is deterministic; skipped
-// is the physical count and depends on the knob.
-func (s *Scheduler) flushReuseStats() exec.ReuseStats {
-	st := s.runner.ReuseStats()
-	d := exec.ReuseStats{
-		Skippable: st.Skippable - s.lastReuse.Skippable,
-		Skipped:   st.Skipped - s.lastReuse.Skipped,
+func newSchedMetrics(reg *metrics.Registry) schedMetrics {
+	return schedMetrics{
+		lag:         reg.Histogram("sched.exec_lag_ms", 1, 5, 10, 50, 100, 500, 1000, 5000),
+		slack:       reg.Histogram("sched.query_slack_ms", -5000, -1000, -100, -10, 0, 10, 100, 1000, 5000),
+		execs:       reg.Counter("sched.executions"),
+		work:        reg.Counter("sched.work_total"),
+		windows:     reg.Counter("sched.windows"),
+		met:         reg.Counter("sched.deadline_met"),
+		missed:      reg.Counter("sched.deadline_missed"),
+		arrBuilt:    reg.Counter("exec.arrangements.built"),
+		arrShared:   reg.Counter("exec.arrangements.shared_attaches"),
+		arrFreed:    reg.Counter("exec.arrangements.freed"),
+		window:      reg.Gauge("sched.window"),
+		liveQueries: reg.Gauge("sched.live_queries"),
+		lastMaxLag:  reg.Gauge("sched.last_max_lag_ms"),
 	}
-	if d.Skippable > 0 {
-		s.reg.Counter("exec.reuse.skippable").Add(d.Skippable)
+}
+
+// runnerStats is the runner's arrangement and reuse accounting, read once
+// per window close and per graft and shared by every sink.
+type runnerStats struct {
+	arr   exec.ArrangeStats
+	reuse exec.ReuseStats
+}
+
+// takeStats reads the runner's lifetime accounting into s.stats and returns
+// the change since the previous read, so each window's metrics and events
+// describe that window. The skippable reuse column (clean-cone firings,
+// counted whether or not the knob is on) is deterministic; skipped is the
+// physical count and depends on the knob.
+func (s *Scheduler) takeStats() runnerStats {
+	prev := s.stats
+	s.stats = runnerStats{arr: s.runner.ArrangeStats(), reuse: s.runner.ReuseStats()}
+	return runnerStats{
+		arr: exec.ArrangeStats{
+			Built:          s.stats.arr.Built - prev.arr.Built,
+			SharedAttaches: s.stats.arr.SharedAttaches - prev.arr.SharedAttaches,
+			Freed:          s.stats.arr.Freed - prev.arr.Freed,
+		},
+		reuse: exec.ReuseStats{
+			Skippable: s.stats.reuse.Skippable - prev.reuse.Skippable,
+			Skipped:   s.stats.reuse.Skipped - prev.reuse.Skipped,
+		},
 	}
-	if d.Skipped > 0 {
-		s.reg.Counter("exec.reuse.skipped").Add(d.Skipped)
+}
+
+// countStats publishes one takeStats delta to the metrics registry.
+func (s *Scheduler) countStats(d runnerStats) {
+	s.m.arrBuilt.Add(d.arr.Built)
+	s.m.arrShared.Add(d.arr.SharedAttaches)
+	s.m.arrFreed.Add(d.arr.Freed)
+	if d.reuse.Skippable > 0 {
+		s.reg.Counter("exec.reuse.skippable").Add(d.reuse.Skippable)
 	}
-	s.lastReuse = st
-	return d
+	if d.reuse.Skipped > 0 {
+		s.reg.Counter("exec.reuse.skipped").Add(d.reuse.Skipped)
+	}
 }
 
 // New builds a scheduler over the graph with the given starting pace vector
@@ -285,6 +319,18 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 	if len(cfg.Deadlines) != g.Plan.NumQueries() {
 		return nil, fmt.Errorf("sched: %d deadlines for %d queries", len(cfg.Deadlines), g.Plan.NumQueries())
 	}
+	if rp := cfg.Recalibrate; rp != nil {
+		switch {
+		case rp.Model == nil:
+			return nil, fmt.Errorf("sched: recalibration without a cost model")
+		case cfg.Profile == nil:
+			return nil, fmt.Errorf("sched: recalibration without a profiler")
+		case rp.MaxPace < 1:
+			return nil, fmt.Errorf("sched: recalibration max pace %d < 1", rp.MaxPace)
+		case len(rp.Constraints) != g.Plan.NumQueries():
+			return nil, fmt.Errorf("sched: recalibration has %d constraints for %d queries", len(rp.Constraints), g.Plan.NumQueries())
+		}
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock{}
 	}
@@ -306,29 +352,16 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 	}
 	s := &Scheduler{
 		cfg:    cfg,
-		graph:  g,
 		runner: runner,
 		src:    src,
 		clock:  cfg.Clock,
 		reg:    cfg.Metrics,
+		m:      newSchedMetrics(cfg.Metrics),
 		paces:  append([]int(nil), paces...),
-		finish: make([]time.Time, len(g.Subplans)),
-		spent:  make([]time.Duration, len(g.Subplans)),
-		streak: make([]int, len(g.Subplans)),
+		prof:   cfg.Profile,
+		ev:     cfg.Events,
+		status: cfg.Status,
 	}
-	// Per-subplan counters are created once up front so the per-firing hot
-	// loop pays two atomic adds, not a registry lookup plus key formatting.
-	s.subExecs = make([]*metrics.Counter, len(g.Subplans))
-	s.subWork = make([]*metrics.Counter, len(g.Subplans))
-	s.winSubExecs = make([]int64, len(g.Subplans))
-	s.winSubWork = make([]int64, len(g.Subplans))
-	for i := range g.Subplans {
-		s.subExecs[i] = s.reg.Counter(fmt.Sprintf("sched.subplan.%d.executions", i))
-		s.subWork[i] = s.reg.Counter(fmt.Sprintf("sched.subplan.%d.work", i))
-	}
-	s.prof = cfg.Profile
-	s.ev = cfg.Events
-	s.status = cfg.Status
 	s.epoch = s.clock.Now()
 	if tr := cfg.Tracer; tr != nil {
 		s.tr = tr
@@ -339,12 +372,33 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 		s.tracePid = tr.Process(name)
 		s.traceBase = tr.Since()
 		tr.Thread(s.tracePid, 0, "windows")
-		for _, sub := range g.Subplans {
-			tr.Thread(s.tracePid, 1+sub.ID, fmt.Sprintf("subplan %d", sub.ID))
-		}
-		runner.Trace = tr
 	}
+	s.sizeFor(g)
 	return s, nil
+}
+
+// sizeFor (re)builds everything the scheduler keeps per subplan for graph
+// g: window accumulators, alert streaks, per-subplan counters and tracer
+// threads. Counters are registry-backed by name and created up front, so
+// the per-window flush pays two atomic adds rather than a lookup plus key
+// formatting, and a subplan id that survives a graft keeps accumulating
+// into the same counter.
+func (s *Scheduler) sizeFor(g *mqo.Graph) {
+	n := len(g.Subplans)
+	s.graph = g
+	s.finish = make([]time.Time, n)
+	s.spent = make([]time.Duration, n)
+	s.streak = make([]int, n)
+	s.win = make([]profile.Sample, n)
+	s.subExecs = make([]*metrics.Counter, n)
+	s.subWork = make([]*metrics.Counter, n)
+	for i, sub := range g.Subplans {
+		s.subExecs[i] = s.reg.Counter(fmt.Sprintf("sched.subplan.%d.executions", i))
+		s.subWork[i] = s.reg.Counter(fmt.Sprintf("sched.subplan.%d.work", i))
+		if s.tr != nil {
+			s.tr.Thread(s.tracePid, 1+sub.ID, fmt.Sprintf("subplan %d", sub.ID))
+		}
+	}
 }
 
 // Run drives the configured number of windows to completion.
@@ -383,7 +437,17 @@ func (s *Scheduler) Tick() (bool, error) {
 		if s.window >= s.cfg.Windows {
 			s.res.FinalPaces = append([]int(nil), s.paces...)
 			s.done = true
-			s.runner.CountArrangements()
+			if s.tr != nil {
+				// End-state gauges, not deltas: published once, after the
+				// last window closed.
+				st := s.stats.arr
+				s.tr.Count("exec.arr.live", int64(st.Live))
+				s.tr.Count("exec.arr.handles", int64(st.Handles))
+				s.tr.Count("exec.arr.multiuse", int64(st.MultiUse))
+				s.tr.Count("exec.arr.entries", st.Entries)
+				s.tr.Count("exec.arr.built", st.Built)
+				s.tr.Count("exec.arr.shared_attaches", st.SharedAttaches)
+			}
 			return false, nil
 		}
 	}
@@ -422,8 +486,6 @@ func (s *Scheduler) openWindow() error {
 		s.spent[i] = 0
 	}
 	s.maxLag = 0
-	s.winWork = 0
-	s.winExecs = 0
 	return nil
 }
 
@@ -452,9 +514,9 @@ func (s *Scheduler) runGroup(group []exec.Firing) {
 	}
 	s.runner.Fire(group, s.cfg.Workers, works, walls)
 
-	lagHist := s.reg.Histogram("sched.exec_lag_ms", 1, 5, 10, 50, 100, 500, 1000, 5000)
-	execs := s.reg.Counter("sched.executions")
-	workCtr := s.reg.Counter("sched.work_total")
+	// Everything below is the canonical accounting loop, not the workers,
+	// so every sink it feeds is worker-count-invariant.
+	var groupWork int64
 	t := groupStart
 	for i, f := range group {
 		d := s.workDuration(works[i])
@@ -465,27 +527,27 @@ func (s *Scheduler) runGroup(group []exec.Firing) {
 			s.spent[f.Subplan] += d
 		}
 		w := works[i].Total()
-		if s.prof != nil {
-			// Attributed here — the canonical loop — not on the workers, so
-			// the profile's deterministic columns are worker-count-invariant.
-			// A group fires each subplan at most once, so LastBatches still
+		groupWork += w
+		acc := &s.win[f.Subplan]
+		acc.Firings++
+		acc.Work += w
+		if walls != nil {
+			// Physical columns, measured only for the profiler. A group
+			// fires each subplan at most once, so LastBatches still
 			// describes this firing.
-			s.prof.Observe(f.Subplan, w, walls[i], s.runner.Execs[f.Subplan].LastBatches())
+			acc.WallNS += walls[i]
+			acc.Batches += s.runner.Execs[f.Subplan].LastBatches()
 		}
-		s.winWork += w
-		s.winExecs++
-		s.res.TotalWork += w
-		execs.Inc()
-		workCtr.Add(w)
-		s.winSubExecs[f.Subplan]++
-		s.winSubWork[f.Subplan] += w
-		lagHist.Observe(float64(start.Sub(due)) / float64(time.Millisecond))
+		s.m.lag.Observe(float64(start.Sub(due)) / float64(time.Millisecond))
 		if s.tr != nil {
-			// Offsets come from this canonical loop, not the workers'
-			// clocks, so the exported trace is worker-count-invariant; the
-			// shared exec counters are fed here too, keeping the concurrent
-			// execution path free of tracer work.
-			s.runner.CountWork(works[i])
+			s.tr.Count("exec.executions", 1)
+			s.tr.Count("exec.tuples", works[i].Tuples)
+			s.tr.Count("exec.state", works[i].State)
+			s.tr.Count("exec.output", works[i].Output)
+			if works[i].Rescan > 0 {
+				s.tr.Count("exec.rescans", 1)
+				s.tr.Count("exec.rescan_work", works[i].Rescan)
+			}
 			s.tr.Span(s.tracePid, 1+f.Subplan, "sched",
 				fmt.Sprintf("fire %d/%d", f.Index, f.Pace),
 				s.traceBase+start.Sub(s.epoch), s.traceBase+t.Sub(s.epoch),
@@ -506,6 +568,9 @@ func (s *Scheduler) runGroup(group []exec.Firing) {
 			})
 		}
 	}
+	s.res.TotalWork += groupWork
+	s.m.execs.Add(int64(len(group)))
+	s.m.work.Add(groupWork)
 	s.clock.WaitUntil(t)
 	if s.cfg.WorkRate <= 0 {
 		// Pure measured mode: completion is whatever the clock says after
@@ -524,28 +589,24 @@ func (s *Scheduler) workDuration(w exec.Work) time.Duration {
 	return time.Duration(float64(w.Total()) / s.cfg.WorkRate * float64(time.Second))
 }
 
+// closeWindow settles the window into one record — WindowStats, the
+// per-subplan accumulator s.win, the profiler's drift alerts and one
+// arrangement/reuse snapshot — and then hands that record to each sink in
+// turn: metrics, tracer, event log, Result, status board. No sink re-derives
+// a fact another one was given.
 func (s *Scheduler) closeWindow() {
-	for i := range s.winSubExecs {
-		if n := s.winSubExecs[i]; n > 0 {
-			s.subExecs[i].Add(n)
-			s.winSubExecs[i] = 0
-		}
-		if w := s.winSubWork[i]; w > 0 {
-			s.subWork[i].Add(w)
-			s.winSubWork[i] = 0
-		}
-	}
 	winEnd := s.winStart.Add(s.cfg.Window)
 	ws := WindowStats{
-		Window:     s.window,
-		Paces:      append([]int(nil), s.paces...),
-		Executions: s.winExecs,
-		Work:       s.winWork,
-		MaxLag:     s.maxLag,
+		Window: s.window,
+		Paces:  append([]int(nil), s.paces...),
+		MaxLag: s.maxLag,
+	}
+	for _, acc := range s.win {
+		ws.Executions += acc.Firings
+		ws.Work += acc.Work
 	}
 	nq := s.graph.Plan.NumQueries()
 	ws.QuerySlack = make([]time.Duration, nq)
-	slackHist := s.reg.Histogram("sched.query_slack_ms", -5000, -1000, -100, -10, 0, 10, 100, 1000, 5000)
 	for q := 0; q < nq; q++ {
 		completion := winEnd
 		for _, sub := range s.graph.QuerySubplans(q) {
@@ -560,107 +621,157 @@ func (s *Scheduler) closeWindow() {
 		} else {
 			ws.Missed++
 		}
-		slackHist.Observe(float64(slack) / float64(time.Millisecond))
-		if s.tr != nil {
-			s.tr.Instant(s.tracePid, 0, "deadline", fmt.Sprintf("query %d", q),
-				s.traceBase+completion.Sub(s.epoch),
-				trace.Arg{Key: "window", Value: s.window},
-				trace.Arg{Key: "slack", Value: slack},
-				trace.Arg{Key: "met", Value: slack >= 0})
-		}
 	}
 	s.res.Met += ws.Met
 	s.res.Missed += ws.Missed
-	s.reg.Counter("sched.windows").Inc()
-	s.reg.Counter("sched.deadline_met").Add(int64(ws.Met))
-	s.reg.Counter("sched.deadline_missed").Add(int64(ws.Missed))
 	ws.Overloaded = ws.Missed > 0 || s.maxLag > s.cfg.LagThreshold
 	// Drift settles before the degradation check so a recalibration —
 	// which retunes the model the paces came from — can preempt the blunt
 	// pace-halving response in the window that triggers it.
-	_, alerts := s.prof.FlushWindow(s.window)
-	if rec := s.maybeRecalibrate(alerts); rec != nil {
-		ws.Recalibrated = rec
-	}
-	if ws.Overloaded {
-		s.reg.Counter("sched.overloaded_windows").Inc()
-		if !s.cfg.DisableDegradation && ws.Recalibrated == nil {
-			if d := s.degrade(ws.QuerySlack); d != nil {
-				d.Window = s.window
-				ws.Degraded = d
-				s.res.Decisions = append(s.res.Decisions, *d)
-				s.reg.Counter("sched.degrade_total").Inc()
-				s.reg.Counter(fmt.Sprintf("sched.degrade.subplan.%d", d.Subplan)).Inc()
-				if s.tr != nil {
-					s.tr.DecideAt(s.tracePid, 0, s.traceBase+winEnd.Sub(s.epoch), trace.Decision{
-						Phase: "sched.degrade", Step: len(s.res.Decisions),
-						Subplan: d.Subplan, Action: "halve_pace",
-						Score: float64(d.Spent) / float64(time.Millisecond), Accepted: true,
-						Detail: fmt.Sprintf("window %d overloaded: pace %d -> %d, %d ancestors clamped",
-							s.window, d.OldPace, d.NewPace, len(d.Clamped)),
-					})
-				}
-			}
+	_, alerts := s.prof.FlushWindow(s.window, s.win)
+	ws.Recalibrated = s.maybeRecalibrate(alerts)
+	if ws.Overloaded && !s.cfg.DisableDegradation && ws.Recalibrated == nil {
+		if d := s.degrade(ws.QuerySlack); d != nil {
+			d.Window = s.window
+			ws.Degraded = d
+			s.res.Decisions = append(s.res.Decisions, *d)
 		}
 	}
+	delta := s.takeStats()
+
+	s.countWindow(&ws, delta)
 	if s.tr != nil {
-		s.tr.Span(s.tracePid, 0, "sched", fmt.Sprintf("window %d", s.window),
-			s.traceBase+s.winStart.Sub(s.epoch), s.traceBase+winEnd.Sub(s.epoch),
-			trace.Arg{Key: "executions", Value: s.winExecs},
-			trace.Arg{Key: "work", Value: s.winWork},
-			trace.Arg{Key: "met", Value: ws.Met},
-			trace.Arg{Key: "missed", Value: ws.Missed},
-			trace.Arg{Key: "max_lag", Value: s.maxLag},
-			trace.Arg{Key: "overloaded", Value: ws.Overloaded})
+		s.traceWindow(&ws, winEnd)
 	}
-	// Always-on gauges: the live complement of the counters above. Set in
-	// profiled and unprofiled runs alike, so enabling observability never
-	// changes a metrics snapshot (the observer-effect regression test pins
-	// this).
-	s.reg.Gauge("sched.window").Set(float64(s.window))
-	s.reg.Gauge("sched.live_queries").Set(float64(nq))
-	s.reg.Gauge("sched.last_max_lag_ms").Set(float64(s.maxLag) / float64(time.Millisecond))
-	atNS := winEnd.Sub(s.epoch).Nanoseconds()
 	if s.ev.Enabled() {
-		for _, a := range alerts {
-			s.ev.Emit("drift.alert", atNS, a.Window, a.Subplan, -1, map[string]interface{}{
-				"drift": a.Drift, "modeled": a.Modeled, "work": a.Work,
-			})
-		}
-		if d := ws.Degraded; d != nil {
-			s.ev.Emit("sched.degrade", atNS, s.window, d.Subplan, -1, map[string]interface{}{
-				"old_pace": d.OldPace, "new_pace": d.NewPace,
-				"clamped": len(d.Clamped), "spent_ns": int64(d.Spent),
-			})
-		}
-	}
-	if ws.Recalibrated != nil {
-		s.emitRecalibration(ws.Recalibrated, atNS, winEnd)
-	}
-	arr := s.flushArrangeStats()
-	reuse := s.flushReuseStats()
-	if s.ev.Enabled() {
-		if arr.Built != 0 || arr.SharedAttaches != 0 || arr.Freed != 0 {
-			s.ev.Emit("arrangements", atNS, s.window, -1, -1, map[string]interface{}{
-				"built": arr.Built, "shared_attaches": arr.SharedAttaches, "freed": arr.Freed,
-			})
-		}
-		if reuse.Skippable > 0 {
-			// Only the deterministic skippable count goes on the log: the
-			// physical skipped count depends on the ISHARE_REUSE knob, and
-			// the event log must stay byte-identical with reuse on or off.
-			s.ev.Emit("reuse.skip", atNS, s.window, -1, -1, map[string]interface{}{
-				"skippable": reuse.Skippable,
-			})
-		}
-		s.ev.Emit("window.close", atNS, s.window, -1, -1, map[string]interface{}{
-			"executions": s.winExecs, "work": s.winWork,
-			"met": ws.Met, "missed": ws.Missed,
-			"max_lag_ns": int64(s.maxLag), "overloaded": ws.Overloaded,
-		})
+		s.emitWindow(&ws, alerts, delta, winEnd.Sub(s.epoch).Nanoseconds())
 	}
 	s.res.Windows = append(s.res.Windows, ws)
 	if s.status != nil {
 		s.status.Publish(s.buildStatus(ws))
 	}
+	clear(s.win)
+}
+
+// countWindow renders a closed window into the metrics registry. The gauges
+// are set in profiled and unprofiled runs alike, so enabling observability
+// never changes a metrics snapshot (the observer-effect regression test pins
+// this).
+func (s *Scheduler) countWindow(ws *WindowStats, delta runnerStats) {
+	for i, acc := range s.win {
+		if acc.Firings > 0 {
+			s.subExecs[i].Add(int64(acc.Firings))
+			s.subWork[i].Add(acc.Work)
+		}
+	}
+	for _, slack := range ws.QuerySlack {
+		s.m.slack.Observe(float64(slack) / float64(time.Millisecond))
+	}
+	s.m.windows.Inc()
+	s.m.met.Add(int64(ws.Met))
+	s.m.missed.Add(int64(ws.Missed))
+	if ws.Overloaded {
+		s.reg.Counter("sched.overloaded_windows").Inc()
+	}
+	if d := ws.Degraded; d != nil {
+		s.reg.Counter("sched.degrade_total").Inc()
+		s.reg.Counter(fmt.Sprintf("sched.degrade.subplan.%d", d.Subplan)).Inc()
+	}
+	if rec := ws.Recalibrated; rec != nil {
+		s.reg.Counter("sched.recalibrations").Inc()
+		s.reg.Gauge("sched.last_recalibration_window").Set(float64(rec.Window))
+	}
+	s.m.window.Set(float64(ws.Window))
+	s.m.liveQueries.Set(float64(len(ws.QuerySlack)))
+	s.m.lastMaxLag.Set(float64(ws.MaxLag) / float64(time.Millisecond))
+	s.countStats(delta)
+}
+
+// traceWindow renders a closed window onto the tracer's control track: one
+// deadline-settlement instant per query, the window's degradation or
+// recalibration decision, and the window span.
+func (s *Scheduler) traceWindow(ws *WindowStats, winEnd time.Time) {
+	end := s.traceBase + winEnd.Sub(s.epoch)
+	for q, slack := range ws.QuerySlack {
+		// The query completed slack before its deadline.
+		s.tr.Instant(s.tracePid, 0, "deadline", fmt.Sprintf("query %d", q),
+			end+s.cfg.Deadlines[q]-slack,
+			trace.Arg{Key: "window", Value: ws.Window},
+			trace.Arg{Key: "slack", Value: slack},
+			trace.Arg{Key: "met", Value: slack >= 0})
+	}
+	if d := ws.Degraded; d != nil {
+		s.tr.DecideAt(s.tracePid, 0, end, trace.Decision{
+			Phase: "sched.degrade", Step: len(s.res.Decisions),
+			Subplan: d.Subplan, Action: "halve_pace",
+			Score: float64(d.Spent) / float64(time.Millisecond), Accepted: true,
+			Detail: fmt.Sprintf("window %d overloaded: pace %d -> %d, %d ancestors clamped",
+				ws.Window, d.OldPace, d.NewPace, len(d.Clamped)),
+		})
+	}
+	if rec := ws.Recalibrated; rec != nil {
+		s.tr.DecideAt(s.tracePid, 0, end, trace.Decision{
+			Phase: "sched.recalibrate", Step: len(s.res.Recalibrations),
+			Subplan: rec.Subplans[0], Action: "recalibrate",
+			Score: rec.Drifts[0], Accepted: true,
+			Detail: fmt.Sprintf("window %d: %d subplans drifted, paces %v -> %v (%d memo entries adopted, %d evals)",
+				rec.Window, len(rec.Subplans), rec.OldPaces, rec.NewPaces, rec.Adopted, rec.Evals),
+		})
+	}
+	s.tr.Span(s.tracePid, 0, "sched", fmt.Sprintf("window %d", ws.Window),
+		s.traceBase+s.winStart.Sub(s.epoch), end,
+		trace.Arg{Key: "executions", Value: ws.Executions},
+		trace.Arg{Key: "work", Value: ws.Work},
+		trace.Arg{Key: "met", Value: ws.Met},
+		trace.Arg{Key: "missed", Value: ws.Missed},
+		trace.Arg{Key: "max_lag", Value: ws.MaxLag},
+		trace.Arg{Key: "overloaded", Value: ws.Overloaded})
+}
+
+// emitWindow renders a closed window onto the event log, in a fixed order:
+// drift alerts, the degradation decision, the recalibration (one
+// cost.recalibrate per drifting subplan, then the warm pace.research),
+// arrangement lifecycle deltas, reuse skips, and the window close. All
+// content is deterministic: drift EWMAs are pure functions of modeled work.
+func (s *Scheduler) emitWindow(ws *WindowStats, alerts []profile.Alert, delta runnerStats, atNS int64) {
+	for _, a := range alerts {
+		s.ev.Emit("drift.alert", atNS, a.Window, a.Subplan, -1, map[string]interface{}{
+			"drift": a.Drift, "modeled": a.Modeled, "work": a.Work,
+		})
+	}
+	if d := ws.Degraded; d != nil {
+		s.ev.Emit("sched.degrade", atNS, ws.Window, d.Subplan, -1, map[string]interface{}{
+			"old_pace": d.OldPace, "new_pace": d.NewPace,
+			"clamped": len(d.Clamped), "spent_ns": int64(d.Spent),
+		})
+	}
+	if rec := ws.Recalibrated; rec != nil {
+		for i, id := range rec.Subplans {
+			s.ev.Emit("cost.recalibrate", atNS, rec.Window, id, -1, map[string]interface{}{
+				"drift": rec.Drifts[i],
+			})
+		}
+		s.ev.Emit("pace.research", atNS, rec.Window, -1, -1, map[string]interface{}{
+			"adopted": rec.Adopted, "steps": rec.Steps, "evals": rec.Evals,
+			"old_paces": fmt.Sprint(rec.OldPaces), "new_paces": fmt.Sprint(rec.NewPaces),
+		})
+	}
+	if arr := delta.arr; arr.Built != 0 || arr.SharedAttaches != 0 || arr.Freed != 0 {
+		s.ev.Emit("arrangements", atNS, ws.Window, -1, -1, map[string]interface{}{
+			"built": arr.Built, "shared_attaches": arr.SharedAttaches, "freed": arr.Freed,
+		})
+	}
+	if delta.reuse.Skippable > 0 {
+		// Only the deterministic skippable count goes on the log: the
+		// physical skipped count depends on the ISHARE_REUSE knob, and the
+		// event log must stay byte-identical with reuse on or off.
+		s.ev.Emit("reuse.skip", atNS, ws.Window, -1, -1, map[string]interface{}{
+			"skippable": delta.reuse.Skippable,
+		})
+	}
+	s.ev.Emit("window.close", atNS, ws.Window, -1, -1, map[string]interface{}{
+		"executions": ws.Executions, "work": ws.Work,
+		"met": ws.Met, "missed": ws.Missed,
+		"max_lag_ns": int64(ws.MaxLag), "overloaded": ws.Overloaded,
+	})
 }

@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"ishare/internal/cost"
 	"ishare/internal/exec"
 	"ishare/internal/mqo"
 	"ishare/internal/oracle"
+	"ishare/internal/profile"
 	"ishare/internal/sched"
 )
 
@@ -309,5 +312,71 @@ func TestSchedulerFinalFiringsAtWindowEnd(t *testing.T) {
 	}
 	if finals != windows*len(paces) {
 		t.Errorf("%d final firings, want %d", finals, windows*len(paces))
+	}
+}
+
+// TestNewRejectsInvalidConfig: every malformed argument New can be handed
+// is an error, including a recalibration policy that could never fire.
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	tp := buildPlan(t, 1)
+	nq := tp.graph.Plan.NumQueries()
+	paces := make([]int, len(tp.graph.Subplans))
+	for i := range paces {
+		paces[i] = 1
+	}
+	valid := func() sched.Config {
+		return sched.Config{
+			Window:    time.Second,
+			Windows:   1,
+			Clock:     sched.NewVirtualClock(time.Unix(0, 0)),
+			Deadlines: make([]time.Duration, nq),
+			Profile:   profile.New(profile.Config{Subplans: len(paces)}),
+			Recalibrate: &sched.RecalibratePolicy{
+				Model:       cost.NewModel(tp.graph),
+				Constraints: make([]float64, nq),
+				MaxPace:     4,
+			},
+		}
+	}
+	src := sched.Replay{Data: tp.data}
+	cases := []struct {
+		name     string
+		paces    []int
+		noSource bool
+		edit     func(*sched.Config)
+		want     string
+	}{
+		{name: "zero window", edit: func(c *sched.Config) { c.Window = 0 }, want: "not positive"},
+		{name: "no windows", edit: func(c *sched.Config) { c.Windows = 0 }, want: "0 windows"},
+		{name: "short pace vector", paces: paces[1:], want: "paces for"},
+		{name: "pace below one", paces: append([]int{0}, paces[1:]...), want: "pace 0 < 1"},
+		{name: "deadline count", edit: func(c *sched.Config) { c.Deadlines = c.Deadlines[1:] }, want: "deadlines for"},
+		{name: "nil source", noSource: true, want: "nil source"},
+		{name: "recalibration without model", edit: func(c *sched.Config) { c.Recalibrate.Model = nil }, want: "without a cost model"},
+		{name: "recalibration without profiler", edit: func(c *sched.Config) { c.Profile = nil }, want: "without a profiler"},
+		{name: "recalibration max pace", edit: func(c *sched.Config) { c.Recalibrate.MaxPace = 0 }, want: "max pace 0"},
+		{name: "recalibration constraint count", edit: func(c *sched.Config) {
+			c.Recalibrate.Constraints = append(c.Recalibrate.Constraints, 1)
+		}, want: "constraints for"},
+	}
+	for _, tc := range cases {
+		cfg := valid()
+		if tc.edit != nil {
+			tc.edit(&cfg)
+		}
+		p, s := paces, sched.Source(src)
+		if tc.paces != nil {
+			p = tc.paces
+		}
+		if tc.noSource {
+			s = nil
+		}
+		_, err := sched.New(tp.graph, p, s, cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New error = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := sched.New(tp.graph, paces, src, valid()); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
 }

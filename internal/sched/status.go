@@ -116,9 +116,9 @@ func StatusHandler(b *StatusBoard) http.Handler {
 	})
 }
 
-// buildStatus assembles the live view after closeWindow settled ws: window
-// counters are flushed, degradation is applied, the profiler has folded the
-// window into its EWMAs.
+// buildStatus assembles the live view from the window record closeWindow
+// settled: ws, the arrangement/reuse snapshot in s.stats, the flushed
+// per-subplan counters, the applied degradation and the profiler's EWMAs.
 func (s *Scheduler) buildStatus(ws WindowStats) Status {
 	st := Status{
 		Window:       ws.Window,
@@ -128,8 +128,8 @@ func (s *Scheduler) buildStatus(ws WindowStats) Status {
 		Overloaded:   ws.Overloaded,
 		Met:          s.res.Met,
 		Missed:       s.res.Missed,
-		Arrangements: s.runner.ArrangeStats(),
-		Reuse:        s.runner.ReuseStats(),
+		Arrangements: s.stats.arr,
+		Reuse:        s.stats.reuse,
 	}
 	st.Recalibrations = len(s.res.Recalibrations)
 	st.LastRecalibration = -1

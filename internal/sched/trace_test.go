@@ -69,9 +69,9 @@ func runTraced(t *testing.T, tp *testPlan, paces []int, windows, workers int, tr
 
 // TestGoldenChromeTrace pins the exported Chrome trace for one seeded
 // workload on the virtual clock: the trace must be byte-identical at
-// Workers=1 and Workers=4 (spans come only from the scheduler's canonical
-// accounting loop; workers feed order-independent counters) and must match
-// the checked-in golden file. Regenerate with:
+// Workers=1 and Workers=4 (spans and counters come only from the
+// scheduler's canonical accounting loop) and must match the checked-in
+// golden file. Regenerate with:
 //
 //	go test ./internal/sched -run TestGoldenChromeTrace -update
 func TestGoldenChromeTrace(t *testing.T) {

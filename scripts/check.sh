@@ -25,28 +25,31 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-# Chunk-boundary coverage: rerun the executor and differential tests with a
-# tiny vectorized batch size so bugs that only appear at chunk seams cannot
-# hide behind the 1024-tuple default. -count=1 forces a real run: the env
+# The three knob twins below rerun the executor, scheduler, public API and
+# differential tests (every caller of the shared firing driver) with one
+# physical knob changed, matching CI. -count=1 forces a real run: the env
 # knob is read at runner construction, which the test cache keys on only
 # when the variable is actually read during the test.
+TWIN_PKGS="./internal/exec ./internal/sched . ./internal/oracle"
+
+# Chunk-boundary coverage: a tiny vectorized batch size, so bugs that only
+# appear at chunk seams cannot hide behind the 1024-tuple default.
 echo "== go test (ISHARE_BATCH=3)"
-ISHARE_BATCH=3 go test -count=1 ./internal/exec ./internal/oracle
+ISHARE_BATCH=3 go test -count=1 $TWIN_PKGS
 
-# Sharing-off coverage: rerun the executor and differential tests with the
-# arrangement registry disabled, so the private-state path stays proven
-# equivalent (results and modeled work are required to be byte-identical
-# in both modes; the oracle also flips the knob mid-churn).
+# Sharing-off coverage: the arrangement registry disabled, so the
+# private-state path stays proven equivalent (results and modeled work are
+# required to be byte-identical in both modes; the oracle also flips the
+# knob mid-churn).
 echo "== go test (ISHARE_SHARE_ARRANGEMENTS=0)"
-ISHARE_SHARE_ARRANGEMENTS=0 go test -count=1 ./internal/exec ./internal/oracle
+ISHARE_SHARE_ARRANGEMENTS=0 go test -count=1 $TWIN_PKGS
 
-# Reuse-off coverage: rerun the executor, scheduler and differential tests
-# with window-level result reuse disabled, so the skip-clean-cones fast path
-# stays proven observationally invisible (results, modeled work and event
-# logs are required to be byte-identical in both modes; the oracle also
-# flips the knob mid-churn).
+# Reuse-off coverage: window-level result reuse disabled, so the
+# skip-clean-cones fast path stays proven observationally invisible
+# (results, modeled work and event logs are required to be byte-identical
+# in both modes; the oracle also flips the knob mid-churn).
 echo "== go test (ISHARE_REUSE=0)"
-ISHARE_REUSE=0 go test -count=1 ./internal/exec ./internal/sched ./internal/oracle
+ISHARE_REUSE=0 go test -count=1 $TWIN_PKGS
 
 echo "== trace smoke (-experiment sched -trace)"
 TRACE_OUT="$(mktemp /tmp/ishare-trace.XXXXXX.json)"

@@ -240,12 +240,13 @@ func (s *Session) Step(data map[string][]Row) (int64, error) {
 	s.runner.StartWindow(exec.InsertStream(ds))
 	s.runner.Fire(batch, 1, works, walls)
 	var work int64
+	obs := make([]profile.Sample, len(s.live.Graph.Subplans))
 	for i, f := range batch {
 		w := works[i].Total()
-		s.prof.Observe(f.Subplan, w, walls[i], s.runner.Execs[f.Subplan].LastBatches())
+		obs[f.Subplan] = profile.Sample{Firings: 1, Work: w, WallNS: walls[i], Batches: s.runner.Execs[f.Subplan].LastBatches()}
 		work += w
 	}
-	s.prof.FlushWindow(s.windows)
+	s.prof.FlushWindow(s.windows, obs)
 	s.windows++
 	s.work += work
 	return work, nil
