@@ -1,8 +1,8 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin into
 // a JSON benchmark report: one record per benchmark with name, iterations,
 // ns/op, B/op and allocs/op. `make bench-json` pipes the repo's benchmarks
-// through it to produce the BENCH_PR5.json CI artifact, which `benchdiff`
-// compares against the checked-in BENCH_PR4.json baseline.
+// through it to produce the BENCH_PR10.json CI artifact, which `benchdiff`
+// compares against the checked-in BENCH_PR9.json baseline.
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH.json
 package main

@@ -137,8 +137,8 @@ func TestJoinLateDeleteCancels(t *testing.T) {
 	if se.Executions() != 2 {
 		t.Errorf("Executions = %d", se.Executions())
 	}
-	if se.ExecWork(0).Total() <= 0 {
-		t.Error("no work recorded for first execution")
+	if se.FinalWork().Total() <= 0 {
+		t.Error("no work recorded for the last execution")
 	}
 }
 

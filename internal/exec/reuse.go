@@ -148,6 +148,5 @@ func (se *SubplanExec) skipOnce() Work {
 		w.Fixed += DebugSlowSubplan(se.Sub.ID)
 	}
 	se.lastBatches = 0
-	se.perExec = append(se.perExec, w)
-	return w
+	return se.record(w)
 }

@@ -19,11 +19,15 @@ type SubplanExec struct {
 	// Out receives the root operator's output.
 	Out *buffer.Log
 
-	ops     map[*mqo.Op]operator
-	member  map[*mqo.Op]bool
-	inputs  map[inputKey]*buffer.Reader
-	perExec []Work
-	opWork  map[*mqo.Op]Work
+	ops    map[*mqo.Op]operator
+	member map[*mqo.Op]bool
+	inputs map[inputKey]*buffer.Reader
+	opWork map[*mqo.Op]Work
+	// total, last and execs account every execution's work in constant
+	// space: the running sum, the most recent execution's work (the final
+	// work once a window's trigger-point firing ran) and the count.
+	total, last Work
+	execs       int
 	// batch is the vectorized chunk size the member operators iterate
 	// with; batches counts the chunks they processed (cumulative), and
 	// lastBatches the chunks of the most recent RunOnce — the profiler's
@@ -121,7 +125,14 @@ func (se *SubplanExec) RunOnce() Work {
 	if DebugSlowSubplan != nil {
 		w.Fixed += DebugSlowSubplan(se.Sub.ID)
 	}
-	se.perExec = append(se.perExec, w)
+	return se.record(w)
+}
+
+// record accounts one execution's (or elided firing's) work.
+func (se *SubplanExec) record(w Work) Work {
+	se.total.Add(w)
+	se.last = w
+	se.execs++
 	return w
 }
 
@@ -168,27 +179,13 @@ func (se *SubplanExec) eval(op *mqo.Op) ([]delta.Tuple, Work) {
 func (se *SubplanExec) OpWork(op *mqo.Op) Work { return se.opWork[op] }
 
 // Executions returns the number of incremental executions so far.
-func (se *SubplanExec) Executions() int { return len(se.perExec) }
+func (se *SubplanExec) Executions() int { return se.execs }
 
-// TotalWork sums the work of all executions.
-func (se *SubplanExec) TotalWork() Work {
-	var w Work
-	for _, e := range se.perExec {
-		w.Add(e)
-	}
-	return w
-}
+// TotalWork returns the summed work of all executions.
+func (se *SubplanExec) TotalWork() Work { return se.total }
 
 // FinalWork returns the work of the last execution (zero before any run).
-func (se *SubplanExec) FinalWork() Work {
-	if len(se.perExec) == 0 {
-		return Work{}
-	}
-	return se.perExec[len(se.perExec)-1]
-}
-
-// ExecWork returns the work of execution i.
-func (se *SubplanExec) ExecWork(i int) Work { return se.perExec[i] }
+func (se *SubplanExec) FinalWork() Work { return se.last }
 
 // Batches returns the cumulative vectorized chunk count across executions;
 // LastBatches the chunks of the most recent execution. Physical metrics:

@@ -421,7 +421,7 @@ type Outcome struct {
 
 // Execute runs every job over the dataset with fresh engine state.
 func Execute(p *Planned, ds exec.Dataset, numQueries int) (*Outcome, error) {
-	out, _, err := execute(p, ds, numQueries, false)
+	out, _, err := RunJobs(p, ds, numQueries, 1, false, nil)
 	return out, err
 }
 
@@ -430,24 +430,34 @@ func Execute(p *Planned, ds exec.Dataset, numQueries int) (*Outcome, error) {
 // output sizes — the feedback loop for recurring queries (paper §3.2).
 // Pass the returned Calibration in the next recurrence's Request.
 func ExecuteWithCalibration(p *Planned, ds exec.Dataset, numQueries int) (*Outcome, cost.Calibration, error) {
-	return execute(p, ds, numQueries, true)
+	return RunJobs(p, ds, numQueries, 1, true, nil)
 }
 
-func execute(p *Planned, ds exec.Dataset, numQueries int, calibrate bool) (*Outcome, cost.Calibration, error) {
+// RunJobs is the batch job loop every one-shot execution of a plan goes
+// through: each job runs over the dataset on a fresh runner at its paces,
+// independent subplans on up to workers goroutines (< 1 selects
+// GOMAXPROCS). visit, when non-nil, sees each job's runner and cumulative
+// report right after the job ran. With calibrate set it also derives each
+// job's calibration factors (see ExecuteWithCalibration) and merges them.
+func RunJobs(p *Planned, ds exec.Dataset, numQueries, workers int, calibrate bool,
+	visit func(job int, r *exec.Runner, rep *exec.Report)) (*Outcome, cost.Calibration, error) {
 	out := &Outcome{QueryFinal: make([]int64, numQueries)}
 	merged := cost.Calibration{}
-	for _, job := range p.Jobs {
+	for ji, job := range p.Jobs {
 		r, err := exec.NewDeltaRunner(job.Graph, exec.InsertStream(ds))
 		if err != nil {
 			return nil, nil, err
 		}
-		rep, err := r.Run(job.Paces)
+		rep, err := r.RunParallel(job.Paces, workers)
 		if err != nil {
 			return nil, nil, err
 		}
 		out.TotalWork += rep.TotalWork
 		for local, global := range job.QueryIDs {
 			out.QueryFinal[global] += rep.QueryFinal[local]
+		}
+		if visit != nil {
+			visit(ji, r, rep)
 		}
 		if !calibrate {
 			continue
@@ -456,8 +466,8 @@ func execute(p *Planned, ds exec.Dataset, numQueries int, calibrate bool) (*Outc
 		measuredFinal := make([]float64, len(job.Graph.Subplans))
 		measuredOut := make([]float64, len(job.Graph.Subplans))
 		for i, se := range r.Execs {
-			measuredWork[i] = float64(se.TotalWork().Total())
-			measuredFinal[i] = float64(se.FinalWork().Total())
+			measuredWork[i] = float64(rep.SubplanTotal[i])
+			measuredFinal[i] = float64(rep.SubplanFinal[i])
 			measuredOut[i] = float64(se.Out.Len())
 		}
 		calib, err := cost.CalibrationFromRun(cost.NewModel(job.Graph), job.Paces, measuredWork, measuredFinal, measuredOut)
@@ -475,21 +485,17 @@ func execute(p *Planned, ds exec.Dataset, numQueries int, calibrate bool) (*Outc
 // returns the measured final work — the denominator for the experiments'
 // latency goals.
 func MeasuredBatchFinals(queries []plan.Query, ds exec.Dataset) ([]int64, error) {
-	out := make([]int64, len(queries))
+	jobs := make([]Job, len(queries))
 	for i, q := range queries {
 		g, err := singleGraph(q)
 		if err != nil {
 			return nil, err
 		}
-		r, err := exec.NewDeltaRunner(g, exec.InsertStream(ds))
-		if err != nil {
-			return nil, err
-		}
-		rep, err := r.Run(pace.Ones(len(g.Subplans)))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rep.QueryFinal[0]
+		jobs[i] = Job{Graph: g, Paces: pace.Ones(len(g.Subplans)), QueryIDs: []int{i}}
 	}
-	return out, nil
+	out, err := Execute(&Planned{Jobs: jobs}, ds, len(queries))
+	if err != nil {
+		return nil, err
+	}
+	return out.QueryFinal, nil
 }

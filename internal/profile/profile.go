@@ -322,18 +322,16 @@ func (p *Profiler) Rebase(modeled []float64) {
 	}
 }
 
-// Graft resizes the profiler to a new plan revision with n subplans and the
-// given baseline (nil disables drift updates until SetModeled). Surviving
-// subplan ids keep their drift EWMA — graft keeps ids slot-stable — while
-// ids beyond the new count are dropped and brand-new ids start unobserved.
-func (p *Profiler) Graft(n int, modeled []float64) {
+// Graft resizes the profiler to a new plan revision with n subplans and
+// clears the baseline, so drift updates pause until the caller supplies the
+// new revision's baseline with SetModeled. Surviving subplan ids keep their
+// drift EWMA — graft keeps ids slot-stable — while ids beyond the new count
+// are dropped and brand-new ids start unobserved.
+func (p *Profiler) Graft(n int) {
 	if p == nil || n < 1 {
 		return
 	}
-	if modeled != nil && len(modeled) != n {
-		modeled = nil
-	}
 	p.cfg.Subplans = n
 	p.size(n)
-	p.cfg.Modeled = modeled
+	p.cfg.Modeled = nil
 }

@@ -157,7 +157,7 @@ func TestGraftPreservesSurvivingEWMA(t *testing.T) {
 	}
 	p.FlushWindow(0, obs)
 
-	p.Graft(2, nil) // shrink: subplan 2 dropped
+	p.Graft(2) // shrink: subplan 2 dropped
 	if got := p.Subplans(); got != 2 {
 		t.Fatalf("Subplans() after shrink = %d", got)
 	}
@@ -165,7 +165,8 @@ func TestGraftPreservesSurvivingEWMA(t *testing.T) {
 		t.Fatalf("Drifts() after shrink = %v", d)
 	}
 
-	p.Graft(4, []float64{100, 100, 100, 100}) // grow with a fresh baseline
+	p.Graft(4) // grow, then rebase on a fresh baseline
+	p.SetModeled([]float64{100, 100, 100, 100})
 	d := p.Drifts()
 	if len(d) != 4 || d[0] != 1 || d[1] != 2 || d[2] != 0 || d[3] != 0 {
 		t.Fatalf("Drifts() after grow = %v", d)
@@ -195,7 +196,7 @@ func TestNilProfilerNoOps(t *testing.T) {
 		t.Error("nil scalars non-zero")
 	}
 	p.SetModeled([]float64{1})
-	p.Graft(2, nil)
+	p.Graft(2)
 
 	if allocs := testing.AllocsPerRun(100, func() {
 		p.FlushWindow(0, obs)

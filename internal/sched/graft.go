@@ -48,7 +48,7 @@ func (s *Scheduler) Graft(g *mqo.Graph, paces []int, deadlines []time.Duration) 
 	// Graft keeps subplan ids slot-stable, so the profiler preserves the
 	// drift EWMA of surviving ids; the baseline is cleared until the caller
 	// supplies one for the new revision (profile.SetModeled).
-	s.prof.Graft(len(g.Subplans), nil)
+	s.prof.Graft(len(g.Subplans))
 	if s.ev.Enabled() {
 		atNS := (time.Duration(s.window) * s.cfg.Window).Nanoseconds()
 		s.ev.Emit("graft", atNS, s.window, -1, -1, map[string]interface{}{

@@ -462,6 +462,11 @@ func (s *Scheduler) Result() *Result { return &s.res }
 // of the run.
 func (s *Scheduler) Results(q int) []value.Row { return s.runner.Results(q) }
 
+// Report returns the runner's cumulative modeled-work report: every
+// execution so far, graft catch-up replays included (Result.TotalWork counts
+// scheduled firings only).
+func (s *Scheduler) Report() *exec.Report { return s.runner.ReportNow() }
+
 // Snapshot returns the scheduler's metrics registry snapshot.
 func (s *Scheduler) Snapshot() metrics.Snapshot { return s.reg.Snapshot() }
 

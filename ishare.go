@@ -265,19 +265,34 @@ type Planned = opt.Planned
 // Optimize builds the shared plan and pace configuration for the registered
 // queries under their constraints.
 func (e *Engine) Optimize(o Options) (*Plan, error) {
-	if len(e.queries) == 0 {
-		return nil, fmt.Errorf("ishare: no queries registered")
-	}
-	if o.MaxPace == 0 {
-		o.MaxPace = 50
+	req, err := e.request(o)
+	if err != nil {
+		return nil, err
 	}
 	approach, err := o.Approach.internal()
 	if err != nil {
 		return nil, err
 	}
-	abs, err := opt.AbsoluteConstraints(e.queries, e.rel)
+	p, err := opt.Plan(approach, req)
 	if err != nil {
 		return nil, err
+	}
+	return &Plan{planned: p, engine: e}, nil
+}
+
+// request resolves the registered queries and o into an optimizer request:
+// relative constraints made absolute, then overridden by name from
+// o.AbsoluteConstraints; MaxPace defaults to 50.
+func (e *Engine) request(o Options) (opt.Request, error) {
+	if len(e.queries) == 0 {
+		return opt.Request{}, fmt.Errorf("ishare: no queries registered")
+	}
+	if o.MaxPace == 0 {
+		o.MaxPace = 50
+	}
+	abs, err := opt.AbsoluteConstraints(e.queries, e.rel)
+	if err != nil {
+		return opt.Request{}, err
 	}
 	for name, v := range o.AbsoluteConstraints {
 		found := false
@@ -288,20 +303,16 @@ func (e *Engine) Optimize(o Options) (*Plan, error) {
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("ishare: absolute constraint for unknown query %q", name)
+			return opt.Request{}, fmt.Errorf("ishare: absolute constraint for unknown query %q", name)
 		}
 	}
-	p, err := opt.Plan(approach, opt.Request{
+	return opt.Request{
 		Queries:     e.queries,
 		Constraints: abs,
 		MaxPace:     o.MaxPace,
 		Calibration: o.Calibration,
 		Workers:     o.OptWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{planned: p, engine: e}, nil
+	}, nil
 }
 
 // Explain writes a human-readable description of the plan: per job, the
@@ -368,26 +379,7 @@ type Calibration = cost.Calibration
 // execution — the paper's recurring-query feedback (§3.2). Pass them to the
 // next recurrence via Options.Calibration.
 func (e *Engine) RunAndCalibrate(p *Plan, data map[string][]Row) (*Report, Calibration, error) {
-	ds, err := e.convertDataset(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	outcome, calib, err := opt.ExecuteWithCalibration(p.planned, ds, len(e.queries))
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{
-		TotalWork: outcome.TotalWork,
-		FinalWork: make(map[string]int64, len(e.names)),
-		results:   make(map[string][]value.Row, len(e.names)),
-	}
-	for q, name := range e.names {
-		rep.FinalWork[name] = outcome.QueryFinal[q]
-	}
-	// Result materialization requires a fresh run per job; reuse Run for
-	// the result-bearing report when callers need rows too. Here the
-	// calibration-focused report carries work only.
-	return rep, calib, nil
+	return e.run(p, data, 1, true)
 }
 
 // SubplanStats is one subplan's execution summary in a report.
@@ -429,8 +421,10 @@ func (r *Report) Breakdown(w io.Writer) {
 }
 
 // Results returns a query's materialized result rows.
-func (r *Report) Results(query string) []Row {
-	rows := r.results[query]
+func (r *Report) Results(query string) []Row { return toRows(r.results[query]) }
+
+// toRows converts engine rows to the public Row form.
+func toRows(rows []value.Row) []Row {
 	out := make([]Row, len(rows))
 	for i, row := range rows {
 		conv := make(Row, len(row))
@@ -446,35 +440,31 @@ func (r *Report) Results(query string) []Row {
 // to workers goroutines (0 selects GOMAXPROCS). Work accounting and results
 // are identical to Run; only wall-clock time changes.
 func (e *Engine) RunParallel(p *Plan, data map[string][]Row, workers int) (*Report, error) {
-	return e.run(p, data, workers)
+	rep, _, err := e.run(p, data, workers, false)
+	return rep, err
 }
 
 // Run executes the plan over the dataset: per table, the rows arriving
 // during the trigger window in arrival order. Engine state is fresh per
 // call.
 func (e *Engine) Run(p *Plan, data map[string][]Row) (*Report, error) {
-	return e.run(p, data, 1)
+	rep, _, err := e.run(p, data, 1, false)
+	return rep, err
 }
 
-func (e *Engine) run(p *Plan, data map[string][]Row, workers int) (*Report, error) {
+// run executes the plan through opt's job loop and builds the report from
+// each job's runner; calibrate also derives calibration factors.
+func (e *Engine) run(p *Plan, data map[string][]Row, workers int, calibrate bool) (*Report, Calibration, error) {
 	ds, err := e.convertDataset(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep := &Report{
 		FinalWork: make(map[string]int64, len(e.names)),
 		results:   make(map[string][]value.Row, len(e.names)),
 	}
-	for ji, job := range p.planned.Jobs {
-		r, err := exec.NewDeltaRunner(job.Graph, exec.InsertStream(ds))
-		if err != nil {
-			return nil, err
-		}
-		jr, err := r.RunParallel(job.Paces, workers)
-		if err != nil {
-			return nil, err
-		}
-		rep.TotalWork += jr.TotalWork
+	out, calib, err := opt.RunJobs(p.planned, ds, len(e.queries), workers, calibrate, func(ji int, r *exec.Runner, jr *exec.Report) {
+		job := p.planned.Jobs[ji]
 		for local, global := range job.QueryIDs {
 			name := e.names[global]
 			rep.FinalWork[name] += jr.QueryFinal[local]
@@ -495,8 +485,12 @@ func (e *Engine) run(p *Plan, data map[string][]Row, workers int) (*Report, erro
 				OutputRows: r.Execs[s.ID].Out.Len(),
 			})
 		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return rep, nil
+	rep.TotalWork = out.TotalWork
+	return rep, calib, nil
 }
 
 func (e *Engine) convertDataset(data map[string][]Row) (exec.Dataset, error) {

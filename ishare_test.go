@@ -283,6 +283,42 @@ func TestRunAndCalibrate(t *testing.T) {
 	}
 }
 
+// TestRunAndCalibrateReportMatchesRun: RunAndCalibrate executes the plan
+// like Run, so its report carries the same work, per-subplan breakdown and
+// result rows.
+func TestRunAndCalibrateReportMatchesRun(t *testing.T) {
+	e := ordersEngine(t)
+	e.MustAddQuery("q1", "SELECT o_customer, SUM(o_amount) FROM orders GROUP BY o_customer", 0.3)
+	e.MustAddQuery("q2", "SELECT o_priority, COUNT(*) FROM orders WHERE o_amount > 5 GROUP BY o_priority", 0.5)
+	p, err := e.Optimize(Options{MaxPace: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := e.Run(p, ordersData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, _, err := e.RunAndCalibrate(p, ordersData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal.TotalWork != run.TotalWork {
+		t.Errorf("TotalWork = %d, Run's %d", cal.TotalWork, run.TotalWork)
+	}
+	if !reflect.DeepEqual(cal.FinalWork, run.FinalWork) {
+		t.Errorf("FinalWork = %v, Run's %v", cal.FinalWork, run.FinalWork)
+	}
+	if len(run.Subplans) == 0 || !reflect.DeepEqual(cal.Subplans, run.Subplans) {
+		t.Errorf("Subplans = %+v, Run's %+v", cal.Subplans, run.Subplans)
+	}
+	for _, q := range e.QueryNames() {
+		got, want := renderRows(cal.Results(q)), renderRows(run.Results(q))
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s results = %v, Run's %v", q, got, want)
+		}
+	}
+}
+
 func TestAbsoluteConstraintOverride(t *testing.T) {
 	e := ordersEngine(t)
 	e.MustAddQuery("q", "SELECT o_customer, SUM(o_amount) FROM orders GROUP BY o_customer", 1.0)

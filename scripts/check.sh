@@ -25,6 +25,13 @@ go vet ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# The benchmark is its own module calling this module's internal packages;
+# vet and test it the way benchmark/run.sh builds it, so a refactor that
+# breaks one of its callers fails the gate.
+echo "== benchmark module: go vet, go test"
+(cd benchmark && GOWORK=off GOFLAGS=-mod=readonly go vet ./... &&
+	GOWORK=off GOFLAGS=-mod=readonly go test ./...)
+
 # The three knob twins below rerun the executor, scheduler, public API and
 # differential tests (every caller of the shared firing driver) with one
 # physical knob changed, matching CI. -count=1 forces a real run: the env

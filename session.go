@@ -2,12 +2,15 @@ package ishare
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"ishare/internal/exec"
 	"ishare/internal/opt"
 	"ishare/internal/pace"
 	"ishare/internal/plan"
 	"ishare/internal/profile"
+	"ishare/internal/sched"
 )
 
 // Session serves a shared plan online: windows of data arrive one Step at a
@@ -20,19 +23,25 @@ import (
 // revision's memoized cost model, so it re-simulates only what changed while
 // still choosing the exact pace vector a from-scratch optimization would.
 //
-// A Session always runs the full iShare shared plan at batch pace (one
-// execution per subplan per window); it is the online counterpart of
-// Engine.Run, not of the scheduler.
+// A Session is a thin layer over the live plan (opt.Live) and the scheduler
+// runtime (sched.Scheduler): each Step is one scheduler window on a virtual
+// clock, and admissions graft the scheduler onto the new plan revision. It
+// always runs the full iShare shared plan at batch pace (one execution per
+// subplan per window), with degradation off and no deadlines to miss.
 type Session struct {
 	engine  *Engine
 	live    *opt.Live
-	runner  *exec.Runner
+	sched   *sched.Scheduler
+	src     *stepSource
 	prof    *profile.Profiler
 	names   []string     // slot-indexed; "" = inactive
 	queries []plan.Query // slot-indexed; zero value = inactive
-	windows int
-	work    int64
 }
+
+// stepSource feeds the scheduler the window handed to the current Step.
+type stepSource struct{ data exec.DeltaDataset }
+
+func (s *stepSource) WindowData(int) exec.DeltaDataset { return s.data }
 
 // AdmitStats reports what one admission or retirement did to the live plan.
 type AdmitStats struct {
@@ -63,53 +72,38 @@ type AdmitStats struct {
 // StartSession begins serving the engine's registered queries online.
 // Options.Approach is ignored: sessions always run the shared plan.
 func (e *Engine) StartSession(o Options) (*Session, error) {
-	if len(e.queries) == 0 {
-		return nil, fmt.Errorf("ishare: no queries registered")
-	}
-	if o.MaxPace == 0 {
-		o.MaxPace = 50
-	}
-	abs, err := opt.AbsoluteConstraints(e.queries, e.rel)
+	req, err := e.request(o)
 	if err != nil {
 		return nil, err
 	}
-	for name, v := range o.AbsoluteConstraints {
-		found := false
-		for q, qn := range e.names {
-			if qn == name {
-				abs[q] = v
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("ishare: absolute constraint for unknown query %q", name)
-		}
-	}
-	live, err := opt.NewLive(opt.Request{
-		Queries:     e.queries,
-		Constraints: abs,
-		MaxPace:     o.MaxPace,
-		Calibration: o.Calibration,
-		Workers:     o.OptWorkers,
-	}, nil)
+	live, err := opt.NewLive(req, nil)
 	if err != nil {
 		return nil, err
 	}
-	runner, err := exec.NewDeltaRunner(live.Graph, exec.DeltaDataset{})
-	if err != nil {
-		return nil, err
-	}
-	return &Session{
+	g := live.Graph
+	s := &Session{
 		engine: e,
 		live:   live,
-		runner: runner,
+		src:    &stepSource{},
 		prof: profile.New(profile.Config{
-			Subplans: len(live.Graph.Subplans),
+			Subplans: len(g.Subplans),
 			Modeled:  batchBaseline(live),
 		}),
 		names:   append([]string(nil), e.names...),
 		queries: append([]plan.Query(nil), e.queries...),
-	}, nil
+	}
+	s.sched, err = sched.New(g, pace.Ones(len(g.Subplans)), s.src, sched.Config{
+		Window:             time.Second,
+		Windows:            math.MaxInt, // a session has no horizon
+		Clock:              sched.NewVirtualClock(time.Unix(0, 0)),
+		Deadlines:          make([]time.Duration, g.Plan.NumQueries()),
+		DisableDegradation: true,
+		Profile:            s.prof,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // batchBaseline evaluates the cost model at batch pace (one execution per
@@ -170,13 +164,12 @@ func (s *Session) Admit(name, sql string, relConstraint float64) (*AdmitStats, e
 	if err != nil {
 		return nil, err
 	}
-	gs, err := s.runner.Graft(s.live.Graph, exec.GraftOptions{})
+	gs, err := s.graft()
 	if err != nil {
 		// Best effort: put the plan back so the session stays usable.
 		s.live.Retire(slot)
 		return nil, err
 	}
-	s.prof.Graft(len(s.live.Graph.Subplans), batchBaseline(s.live))
 	for slot >= len(s.names) {
 		s.names = append(s.names, "")
 		s.queries = append(s.queries, plan.Query{})
@@ -198,14 +191,25 @@ func (s *Session) Retire(name string) (*AdmitStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	gs, err := s.runner.Graft(s.live.Graph, exec.GraftOptions{})
+	gs, err := s.graft()
 	if err != nil {
 		return nil, err
 	}
-	s.prof.Graft(len(s.live.Graph.Subplans), batchBaseline(s.live))
 	s.names[slot] = ""
 	s.queries[slot] = plan.Query{}
 	return admitStats(rep, gs), nil
+}
+
+// graft moves the scheduler onto the live plan's current revision, still at
+// batch pace, and rebases the profiler on the new revision's baseline.
+func (s *Session) graft() (*exec.GraftStats, error) {
+	g := s.live.Graph
+	gs, err := s.sched.Graft(g, pace.Ones(len(g.Subplans)), make([]time.Duration, g.Plan.NumQueries()))
+	if err != nil {
+		return nil, err
+	}
+	s.prof.SetModeled(batchBaseline(s.live))
+	return gs, nil
 }
 
 func admitStats(rep *opt.AdmitReport, gs *exec.GraftStats) *AdmitStats {
@@ -230,34 +234,24 @@ func (s *Session) Step(data map[string][]Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Batch pace: every subplan fires once, as one trigger-point group.
-	batch, err := exec.Schedule(pace.Ones(len(s.live.Graph.Subplans)))
+	// At batch pace every subplan fires once, at the trigger point: one
+	// firing group, so one Tick closes the window.
+	s.src.data = exec.InsertStream(ds)
+	_, err = s.sched.Tick()
+	s.src.data = nil
 	if err != nil {
 		return 0, err
 	}
-	works := make([]exec.Work, len(batch))
-	walls := make([]int64, len(batch))
-	s.runner.StartWindow(exec.InsertStream(ds))
-	s.runner.Fire(batch, 1, works, walls)
-	var work int64
-	obs := make([]profile.Sample, len(s.live.Graph.Subplans))
-	for i, f := range batch {
-		w := works[i].Total()
-		obs[f.Subplan] = profile.Sample{Firings: 1, Work: w, WallNS: walls[i], Batches: s.runner.Execs[f.Subplan].LastBatches()}
-		work += w
-	}
-	s.prof.FlushWindow(s.windows, obs)
-	s.windows++
-	s.work += work
-	return work, nil
+	ws := s.sched.Result().Windows
+	return ws[len(ws)-1].Work, nil
 }
 
 // Windows returns how many windows have been stepped.
-func (s *Session) Windows() int { return s.windows }
+func (s *Session) Windows() int { return len(s.sched.Result().Windows) }
 
 // TotalWork returns the summed work units of every execution so far,
 // including catch-up replays performed by admissions.
-func (s *Session) TotalWork() int64 { return s.runner.ReportNow().TotalWork }
+func (s *Session) TotalWork() int64 { return s.sched.Report().TotalWork }
 
 // SearchSims returns the cumulative number of cost simulations the current
 // plan revision's pace search ran — a diagnostic for comparing warm
@@ -319,14 +313,5 @@ func (s *Session) Results(name string) ([]Row, error) {
 	if slot < 0 {
 		return nil, fmt.Errorf("ishare: query %q is not active", name)
 	}
-	rows := s.queries[slot].Present.Apply(s.runner.Results(slot))
-	out := make([]Row, len(rows))
-	for i, row := range rows {
-		conv := make(Row, len(row))
-		for j, v := range row {
-			conv[j] = valueToIface(v)
-		}
-		out[i] = conv
-	}
-	return out, nil
+	return toRows(s.queries[slot].Present.Apply(s.sched.Results(slot))), nil
 }
