@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet bench bench-json bench-diff check fuzz oracle soak churn-soak recal-soak
+.PHONY: build test race vet bench bench-diff check fuzz oracle soak churn-soak recal-soak
 SOAKTIME ?= 30s
 CHURNTIME ?= 30s
 RECALTIME ?= 30s
@@ -23,35 +23,19 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# bench-json runs the repo's benchmarks with allocation stats and renders
-# them as a machine-readable JSON report (name/iters/ns_op/bytes_op/
-# allocs_op per benchmark); CI uploads the file as an artifact so perf
-# regressions can be diffed across runs.
-BENCH_JSON ?= BENCH_PR10.json
-BENCH_TIME ?= 1x
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCH_TIME) ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)
-
-# bench-diff prints a per-benchmark delta table between the checked-in
-# baseline report (BENCH_BASE, frozen before the closed-cost-loop work) and
-# the current report produced by bench-json. Informational: the exit status
-# ignores how the numbers moved. Set BENCH_INTERLEAVE=N to instead measure
-# an A/B env delta live with N interleaved runs per side and report the
-# medians — the only defensible acceptance method on a noisy host. The
-# default A/B compares the window-reuse fast path off vs on.
-BENCH_BASE ?= BENCH_PR9.json
-BENCH_INTERLEAVE ?= 0
+# bench-diff measures an A/B env delta live with BENCH_INTERLEAVE
+# interleaved runs per side and reports the medians — the only defensible
+# acceptance method for a micro-benchmark on a noisy host. The default A/B
+# compares the window-reuse fast path off vs on. The end-to-end benchmark is
+# `bash benchmark/run.sh` (see benchmark/README.md).
+BENCH_INTERLEAVE ?= 5
 BENCH_PATTERN ?= BenchmarkWindowReuse
 BENCH_PKG ?= ./internal/exec
 BENCH_ENV_A ?= ISHARE_REUSE=0
 BENCH_ENV_B ?= ISHARE_REUSE=1
 bench-diff:
-ifeq ($(BENCH_INTERLEAVE),0)
-	$(GO) run ./cmd/benchdiff $(BENCH_BASE) $(BENCH_JSON)
-else
 	$(GO) run ./cmd/benchdiff -interleave $(BENCH_INTERLEAVE) -bench $(BENCH_PATTERN) \
 		-pkg $(BENCH_PKG) -benchtime 100x -env-a $(BENCH_ENV_A) -env-b $(BENCH_ENV_B)
-endif
 
 check:
 	./scripts/check.sh

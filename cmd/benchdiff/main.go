@@ -1,21 +1,11 @@
-// Command benchdiff compares benchmark results two ways.
-//
-// File mode compares two benchjson reports and prints a per-benchmark delta
-// table: ns/op, B/op and allocs/op changes from the base report to the new
-// one. It is informational — the exit status is 0 no matter how the numbers
-// moved — because micro-benchmark noise on shared CI runners is too high for
-// a hard gate; the table exists so reviewers can eyeball regressions next to
-// the artifact JSON.
-//
-//	benchdiff BENCH_PR4.json BENCH_PR5.json
-//
-// Interleave mode measures an A/B configuration delta live: it runs the
+// Command benchdiff measures an A/B configuration delta live: it runs the
 // selected benchmarks N times under env A and N times under env B, strictly
 // alternating (A,B,A,B,...) so slow drift of the host — thermal state,
 // noisy neighbors — lands on both sides equally, and reports the per-
 // benchmark medians and their delta. Medians of interleaved runs are the
 // only defensible way to accept a perf change on a noisy box; a single
-// back-to-back pair is not.
+// back-to-back pair is not. The end-to-end benchmark is `bash
+// benchmark/run.sh` (see benchmark/README.md).
 //
 //	benchdiff -interleave 5 -bench BenchmarkWindowReuse -pkg ./internal/exec \
 //	    -env-a ISHARE_REUSE=0 -env-b ISHARE_REUSE=1
@@ -23,7 +13,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,72 +22,22 @@ import (
 	"strings"
 )
 
-// Result mirrors cmd/benchjson's record.
-type Result struct {
-	Name     string  `json:"name"`
-	Iters    int64   `json:"iters"`
-	NsOp     float64 `json:"ns_op"`
-	BytesOp  int64   `json:"bytes_op"`
-	AllocsOp int64   `json:"allocs_op"`
-}
-
 func main() {
-	interleave := flag.Int("interleave", 0, "run an interleaved A/B measurement with this many runs per side (0 = compare two benchjson files)")
-	bench := flag.String("bench", ".", "benchmark pattern for -interleave (go test -bench)")
-	pkg := flag.String("pkg", "./...", "package pattern for -interleave")
+	interleave := flag.Int("interleave", 0, "interleaved runs per side (required, > 0)")
+	bench := flag.String("bench", ".", "benchmark pattern (go test -bench)")
+	pkg := flag.String("pkg", "./...", "package pattern")
 	envA := flag.String("env-a", "", "comma-separated KEY=VALUE assignments for side A (base)")
 	envB := flag.String("env-b", "", "comma-separated KEY=VALUE assignments for side B (new)")
-	benchtime := flag.String("benchtime", "", "go test -benchtime for -interleave (empty = tool default)")
+	benchtime := flag.String("benchtime", "", "go test -benchtime (empty = tool default)")
 	flag.Parse()
 
-	if *interleave > 0 {
-		if err := runInterleaved(*interleave, *bench, *pkg, *envA, *envB, *benchtime); err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff BASE.json NEW.json")
-		fmt.Fprintln(os.Stderr, "       benchdiff -interleave N [-bench RE] [-pkg PKG] [-env-a K=V,...] [-env-b K=V,...]")
+	if *interleave < 1 || flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff -interleave N [-bench RE] [-pkg PKG] [-env-a K=V,...] [-env-b K=V,...] [-benchtime T]")
 		os.Exit(2)
 	}
-	base, err := load(flag.Arg(0))
-	if err != nil {
+	if err := runInterleaved(*interleave, *bench, *pkg, *envA, *envB, *benchtime); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
-	}
-	cur, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
-	}
-
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	fmt.Printf("%-44s %14s %14s %8s %12s %8s\n",
-		"benchmark", "base ns/op", "new ns/op", "Δns", "allocs/op", "Δallocs")
-	for _, name := range names {
-		n := cur[name]
-		b, ok := base[name]
-		if !ok {
-			fmt.Printf("%-44s %14s %14.0f %8s %12d %8s\n",
-				name, "-", n.NsOp, "new", n.AllocsOp, "new")
-			continue
-		}
-		fmt.Printf("%-44s %14.0f %14.0f %8s %12d %8s\n",
-			name, b.NsOp, n.NsOp, pct(b.NsOp, n.NsOp),
-			n.AllocsOp, pct(float64(b.AllocsOp), float64(n.AllocsOp)))
-	}
-	for name := range base {
-		if _, ok := cur[name]; !ok {
-			fmt.Printf("%-44s %14.0f %14s  (dropped)\n", name, base[name].NsOp, "-")
-		}
 	}
 }
 
@@ -213,20 +152,4 @@ func pct(a, b float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%+.1f%%", 100*(b-a)/a)
-}
-
-func load(path string) (map[string]Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rs []Result
-	if err := json.Unmarshal(data, &rs); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	out := make(map[string]Result, len(rs))
-	for _, r := range rs {
-		out[r.Name] = r
-	}
-	return out, nil
 }

@@ -2,7 +2,8 @@
 // a subplan whose root has multiple parent subplans materializes its output
 // into a Log, and each parent tracks its own read offset (the role Kafka
 // topics play in the paper's prototype). Base-table delta logs use the same
-// type.
+// type. A log records its own length at every trigger-window seal, so the
+// history of any window can be re-read from the log alone.
 package buffer
 
 import (
@@ -17,11 +18,16 @@ type Log struct {
 	mu     sync.RWMutex
 	tuples []delta.Tuple
 	name   string
+	// born is the number of window seals before the log was created; marks
+	// holds the log's length at each seal since.
+	born  int
+	marks []int
 }
 
-// NewLog returns an empty log with a diagnostic name.
-func NewLog(name string) *Log {
-	return &Log{name: name}
+// NewLog returns an empty log with a diagnostic name, created after sealed
+// window seals (its Mark for each of them is 0).
+func NewLog(name string, sealed int) *Log {
+	return &Log{name: name, born: sealed}
 }
 
 // Name returns the log's diagnostic name.
@@ -61,10 +67,43 @@ func (l *Log) All() []delta.Tuple {
 	return l.Slice(0, l.Len())
 }
 
-// Reset discards all contents (used when re-running an experiment).
+// Seal records the log's current length as its mark for the next window
+// seal.
+func (l *Log) Seal() {
+	l.mu.Lock()
+	l.marks = append(l.marks, len(l.tuples))
+	l.mu.Unlock()
+}
+
+// Mark returns the log's length at window seal k (0-based): 0 for a seal
+// before the log was created. Mark panics for a seal the log has not
+// recorded, so replay bugs surface immediately.
+func (l *Log) Mark(k int) int {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if k < l.born {
+		return 0
+	}
+	if k-l.born >= len(l.marks) {
+		panic(fmt.Sprintf("buffer %s: seal %d not recorded (%d seals)", l.name, k, l.born+len(l.marks)))
+	}
+	return l.marks[k-l.born]
+}
+
+// Unsealed returns how many tuples were appended since the last seal.
+func (l *Log) Unsealed() int {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if len(l.marks) == 0 {
+		return len(l.tuples)
+	}
+	return len(l.tuples) - l.marks[len(l.marks)-1]
+}
+
+// Reset discards all contents and seal marks.
 func (l *Log) Reset() {
 	l.mu.Lock()
-	l.tuples = nil
+	l.tuples, l.marks = nil, nil
 	l.mu.Unlock()
 }
 
@@ -82,9 +121,13 @@ func (l *Log) NewReader() *Reader {
 }
 
 // SetLimit caps ReadNew at log position n until ClearLimit. Replay after a
-// plan graft uses this to feed an executor exactly one sealed window's worth
-// of input even though the log already holds the full history.
+// plan graft uses this with the log's Mark to feed an executor exactly one
+// sealed window's worth of input even though the log already holds the full
+// history.
 func (r *Reader) SetLimit(n int) { r.limit = n }
+
+// Log returns the log the reader consumes.
+func (r *Reader) Log() *Log { return r.log }
 
 // ClearLimit removes the ReadNew cap.
 func (r *Reader) ClearLimit() { r.limit = -1 }

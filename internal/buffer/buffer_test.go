@@ -14,7 +14,7 @@ func tup(v int64) delta.Tuple {
 }
 
 func TestAppendAndSlice(t *testing.T) {
-	l := NewLog("t")
+	l := NewLog("t", 0)
 	l.Append(tup(1), tup(2), tup(3))
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d", l.Len())
@@ -29,7 +29,7 @@ func TestAppendAndSlice(t *testing.T) {
 }
 
 func TestSliceViewIsStable(t *testing.T) {
-	l := NewLog("t")
+	l := NewLog("t", 0)
 	l.Append(tup(1))
 	s := l.Slice(0, 1)
 	// The view is capacity-clamped: later appends can never write into it,
@@ -51,11 +51,11 @@ func TestBadSlicePanics(t *testing.T) {
 			t.Error("expected panic on bad range")
 		}
 	}()
-	NewLog("t").Slice(0, 1)
+	NewLog("t", 0).Slice(0, 1)
 }
 
 func TestIndependentReaders(t *testing.T) {
-	l := NewLog("t")
+	l := NewLog("t", 0)
 	l.Append(tup(1), tup(2))
 	r1, r2 := l.NewReader(), l.NewReader()
 	if got := r1.ReadNew(); len(got) != 2 {
@@ -78,7 +78,7 @@ func TestIndependentReaders(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	l := NewLog("t")
+	l := NewLog("t", 0)
 	l.Append(tup(1))
 	l.Reset()
 	if l.Len() != 0 {
@@ -87,7 +87,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestConcurrentAppendRead(t *testing.T) {
-	l := NewLog("t")
+	l := NewLog("t", 0)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -117,7 +117,72 @@ func TestConcurrentAppendRead(t *testing.T) {
 }
 
 func TestLogName(t *testing.T) {
-	if NewLog("abc").Name() != "abc" {
+	if NewLog("abc", 0).Name() != "abc" {
 		t.Error("Name lost")
 	}
+}
+
+func TestSealMarks(t *testing.T) {
+	l := NewLog("t", 0)
+	l.Append(tup(1), tup(2))
+	l.Seal() // seal 0
+	l.Seal() // seal 1: an empty window
+	l.Append(tup(3))
+	if got := l.Unsealed(); got != 1 {
+		t.Errorf("Unsealed = %d, want 1", got)
+	}
+	l.Seal() // seal 2
+	for k, want := range []int{2, 2, 3} {
+		if got := l.Mark(k); got != want {
+			t.Errorf("Mark(%d) = %d, want %d", k, got, want)
+		}
+	}
+	if got := l.Unsealed(); got != 0 {
+		t.Errorf("Unsealed after seal = %d, want 0", got)
+	}
+
+	// A log created after two seals reports 0 for them and records its own
+	// marks from the third on.
+	late := NewLog("late", 2)
+	if got := late.Unsealed(); got != 0 {
+		t.Errorf("late Unsealed = %d, want 0", got)
+	}
+	late.Append(tup(1))
+	if got := late.Unsealed(); got != 1 {
+		t.Errorf("late Unsealed = %d, want 1", got)
+	}
+	late.Seal() // seal 2
+	for k, want := range []int{0, 0, 1} {
+		if got := late.Mark(k); got != want {
+			t.Errorf("late Mark(%d) = %d, want %d", k, got, want)
+		}
+	}
+
+	// Replay caps a reader at a seal's mark.
+	r := l.NewReader()
+	r.SetLimit(r.Log().Mark(1))
+	if got := len(r.ReadNew()); got != 2 {
+		t.Errorf("read through seal 1 = %d tuples, want 2", got)
+	}
+	r.ClearLimit()
+	if got := len(r.ReadNew()); got != 1 {
+		t.Errorf("read after ClearLimit = %d tuples, want 1", got)
+	}
+
+	l.Reset()
+	l.Seal()
+	if got := l.Mark(0); got != 0 {
+		t.Errorf("Mark(0) after Reset = %d, want 0: Reset kept seal marks", got)
+	}
+}
+
+func TestMarkOfUnrecordedSealPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for a seal not yet recorded")
+		}
+	}()
+	l := NewLog("t", 1)
+	l.Seal() // seal 1
+	l.Mark(2)
 }

@@ -42,7 +42,7 @@ func canon(rows []value.Row) []string {
 // size) and materializes everything a reader observes.
 func throughLog(t *testing.T, stream []delta.Tuple, chunk int) []value.Row {
 	t.Helper()
-	log := buffer.NewLog("prop")
+	log := buffer.NewLog("prop", 0)
 	reader := log.NewReader()
 	var seen []delta.Tuple
 	for start := 0; start < len(stream); start += chunk {

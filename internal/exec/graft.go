@@ -15,9 +15,10 @@ import (
 // sides, group indexes, ordset accumulators and the materialized output log
 // carry over via their stable references. Subplans with no state-identical
 // predecessor are rebuilt fresh and *replayed* through the sealed
-// window-by-window history (Runner.winData / SubplanExec.winOut), so their
-// state, output and modeled work land exactly where a from-scratch run over
-// the same lifetime would have put them. Old subplans nothing adopted —
+// window-by-window history, which every input log records as its own seal
+// marks (buffer.Log.Mark), so their state, output and modeled work land
+// exactly where a from-scratch run over the same lifetime would have put
+// them. Old subplans nothing adopted —
 // including those whose last sharer retired — are dropped and their state
 // garbage-collected.
 
@@ -69,7 +70,7 @@ type graftResolver struct {
 	execs []*SubplanExec
 }
 
-func (gr graftResolver) TableLog(name string) (*buffer.Log, error) {
+func (gr graftResolver) TableLog(name string) *buffer.Log {
 	return gr.r.TableLog(name)
 }
 
@@ -88,10 +89,9 @@ func (gr graftResolver) SubplanLog(s *mqo.Subplan) (*buffer.Log, error) {
 // and the churn oracle both graft between windows). The current window is
 // sealed first, so post-graft arrivals start a fresh window.
 func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) {
-	// Flush any remainder of the current stream into the logs (a no-op for
-	// well-behaved window-boundary callers), then seal the window so the
-	// history below is complete.
-	r.arriveUpTo(1, 1)
+	// Seal the window (flushing any remainder of its arrivals, a no-op for
+	// well-behaved window-boundary callers) so the history below is
+	// complete.
 	r.sealWindow()
 	regBefore := r.reg.Stats()
 
@@ -104,20 +104,6 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 		looseBySig = make(map[string][]int)
 		for _, s := range r.Graph.Subplans {
 			looseBySig[oldLoose[s.ID]] = append(looseBySig[oldLoose[s.ID]], s.ID)
-		}
-	}
-
-	// Tables the new plan scans that have no log yet (they may or may not
-	// have been arriving unobserved): create empty logs now and backfill
-	// them window by window during replay.
-	newTables := make(map[string]bool)
-	for _, s := range newG.Subplans {
-		for _, o := range s.Scans() {
-			name := o.Table.Name
-			if _, ok := r.tables[name]; !ok {
-				r.tables[name] = buffer.NewLog("table:" + name)
-				newTables[name] = true
-			}
 		}
 	}
 
@@ -166,29 +152,18 @@ func (r *Runner) Graft(newG *mqo.Graph, opts GraftOptions) (*GraftStats, error) 
 	// Replay each rebuilt subplan through the sealed windows: one execution
 	// per window, inputs capped at that window's marks. Children-first
 	// within each window, so a rebuilt parent reads its rebuilt child's
-	// freshly replayed window-k output.
-	for k := range r.winData {
-		marks := r.winData[k]
-		for name := range newTables {
-			target := marks[name] // zero if the table had not arrived yet
-			if from := r.appended[name]; target > from {
-				r.tables[name].Append(r.Data[name][from:target]...)
-				r.appended[name] = target
-			}
-		}
+	// freshly replayed and sealed window-k output.
+	for k := 0; k < r.sealed; k++ {
 		for _, s := range fresh {
 			se := newExecs[s.ID]
-			se.setReplayLimits(newG, marks, newExecs, k)
+			se.setReplayLimits(k)
 			se.RunOnce()
-			se.winOut = append(se.winOut, se.Out.Len())
+			se.Out.Seal()
 			stats.Replayed++
 		}
 	}
 	for _, s := range fresh {
 		newExecs[s.ID].clearReplayLimits()
-	}
-	for name := range newTables {
-		r.windowBase[name] = r.appended[name]
 	}
 
 	// Dropped executors release their arrangement handles only now, after
@@ -250,17 +225,11 @@ func (se *SubplanExec) adopt(oldSub, newSub *mqo.Subplan) {
 	se.ops, se.member, se.inputs, se.opWork = ops, member, inputs, opWork
 }
 
-// setReplayLimits caps every input reader at window k's marks: base-table
-// readers at the stream mark, child-subplan readers at the child executor's
-// window-k output mark.
-func (se *SubplanExec) setReplayLimits(g *mqo.Graph, marks map[string]int, execs []*SubplanExec, k int) {
-	for key, rd := range se.inputs {
-		if key.op.Kind == mqo.KindScan {
-			rd.SetLimit(marks[key.op.Table.Name])
-			continue
-		}
-		child := g.SubplanOf(key.op.Children[key.slot])
-		rd.SetLimit(execs[child.ID].winOut[k])
+// setReplayLimits caps every input reader — base-table log or child output
+// log alike — at its log's window-k seal mark.
+func (se *SubplanExec) setReplayLimits(k int) {
+	for _, rd := range se.inputs {
+		rd.SetLimit(rd.Log().Mark(k))
 	}
 }
 

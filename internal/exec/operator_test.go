@@ -119,8 +119,8 @@ func TestJoinLateDeleteCancels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partLog, _ := r.TableLog("part")
-	lineLog, _ := r.TableLog("lineitem")
+	partLog := r.TableLog("part")
+	lineLog := r.TableLog("lineitem")
 	se := r.Execs[h.graph.QueryRootSubplan[0].ID]
 
 	row := partRows([3]interface{}{1, "A", 5})[0]
@@ -170,7 +170,7 @@ func TestHavingRetractsWhenGroupFallsBelow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _ := r.TableLog("lineitem")
+	log := r.TableLog("lineitem")
 	se := r.Execs[h.graph.QueryRootSubplan[0].ID]
 	log.Append(tupleFor(lineitemRows([2]int64{1, 20})[0]))
 	se.RunOnce()

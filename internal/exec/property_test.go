@@ -83,10 +83,7 @@ func TestPropertyDeletesCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := r.TableLog("lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := r.TableLog("lineitem")
 	rows := lineitemRows([2]int64{1, 10}, [2]int64{2, 7}, [2]int64{1, 3})
 	for _, row := range rows {
 		log.Append(tupleFor(row))

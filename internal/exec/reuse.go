@@ -87,38 +87,24 @@ func (r *Runner) computeLineage() {
 }
 
 // computeWinClean refreshes the per-subplan clean flags for the current
-// window: a subplan is clean iff no table in its scan cone has deltas past
-// its window base. Called at construction (the implicit first window) and by
-// StartWindow after the window's arrivals are appended; a Graft marks every
-// subplan dirty instead (markAllDirty) until the next window boundary.
+// window: a subplan is clean iff no table in its scan cone has pending
+// arrivals this window. Called at construction (the implicit first window)
+// and by StartWindow; a Graft marks every subplan dirty instead until the
+// next window boundary — it rewires cones mid-boundary, and a replayed
+// executor must not be skipped against stale flags.
 func (r *Runner) computeWinClean() {
 	if r.winClean == nil || len(r.winClean) != len(r.Graph.Subplans) {
 		r.winClean = make([]bool, len(r.Graph.Subplans))
 	}
-	dirty := make(map[string]bool, len(r.tables))
-	for name := range r.tables {
-		if len(r.Data[name]) > r.windowBase[name] {
-			dirty[name] = true
-		}
-	}
 	for i, cone := range r.lineage {
 		clean := true
 		for _, name := range cone {
-			if dirty[name] {
+			if len(r.pending[name]) > 0 {
 				clean = false
 				break
 			}
 		}
 		r.winClean[i] = clean
-	}
-}
-
-// markAllDirty conservatively disables skipping until the next window
-// boundary recomputes cone dirtiness — a graft rewires cones mid-boundary,
-// and a replayed executor must not be skipped against stale flags.
-func (r *Runner) markAllDirty() {
-	for i := range r.winClean {
-		r.winClean[i] = false
 	}
 }
 

@@ -26,27 +26,24 @@ type DeltaDataset map[string][]delta.Tuple
 // execution at the trigger point.
 type Runner struct {
 	Graph *mqo.Graph
-	Data  DeltaDataset
 	Execs []*SubplanExec
 
-	tables   map[string]*buffer.Log
-	appended map[string]int
-	// windowBase marks, per table, where the current trigger window's
-	// stream starts (see StartWindow); zero for single-window Run use.
-	windowBase map[string]int
+	// tables holds every stream's delta log, created the first time the
+	// stream arrives or a scan asks for it; the logs are the runner's only
+	// copy of the stream history.
+	tables map[string]*buffer.Log
+	// pending is the current window's arrivals, the caller's dataset read
+	// in place: Fire copies fractions of each stream into its log, and the
+	// window seal drops the reference.
+	pending DeltaDataset
+	// sealed counts window seals; winOpen reports whether a window is open
+	// since the last seal.
+	sealed  int
+	winOpen bool
 
 	// batch is the vectorized chunk size, kept so Graft can build fresh
 	// executors that chunk identically to the originals.
 	batch int
-	// winData records, at each window seal, the length of every stream in
-	// Data (all names, not just scanned tables — a later plan revision may
-	// start scanning a table that has been arriving unobserved). Together
-	// with each executor's per-seal output marks it lets Graft replay a
-	// rebuilt subplan through the exact same window-by-window history a
-	// from-scratch run would have seen.
-	winData []map[string]int
-	// winOpen reports whether deltas have arrived since the last seal.
-	winOpen bool
 
 	// depth is each subplan's dependency depth (see computeDepth), the
 	// wave partition Fire fans out over.
@@ -110,33 +107,23 @@ func NewDeltaRunner(g *mqo.Graph, data DeltaDataset) (*Runner, error) {
 
 // New builds fresh operator state, buffers and table logs for a subplan
 // graph over signed change streams; data is the first trigger window's
-// arrivals (possibly empty, for StartWindow-driven use).
+// arrivals (possibly empty, for StartWindow-driven use), read in place like
+// every StartWindow dataset.
 func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 	r := &Runner{
-		Graph:      g,
-		Data:       data,
-		tables:     make(map[string]*buffer.Log),
-		appended:   make(map[string]int),
-		windowBase: make(map[string]int),
-		batch:      opts.Batch,
-		reg:        NewRegistry(opts.Share),
-		reuse:      opts.Reuse,
+		Graph:  g,
+		tables: make(map[string]*buffer.Log),
+		batch:  opts.Batch,
+		reg:    NewRegistry(opts.Share),
+		reuse:  opts.Reuse,
 	}
+	r.receive(data)
 	// A non-empty construction dataset is the first (implicit) window: if
 	// the plan is later grafted, that history must be replayable.
 	for _, ts := range data {
 		if len(ts) > 0 {
 			r.winOpen = true
 			break
-		}
-	}
-	// Every scanned table needs data (possibly empty).
-	for _, s := range g.Subplans {
-		for _, o := range s.Scans() {
-			name := o.Table.Name
-			if _, ok := r.tables[name]; !ok {
-				r.tables[name] = buffer.NewLog("table:" + name)
-			}
 		}
 	}
 	r.Execs = make([]*SubplanExec, len(g.Subplans))
@@ -153,13 +140,15 @@ func New(g *mqo.Graph, data DeltaDataset, opts Options) (*Runner, error) {
 	return r, nil
 }
 
-// TableLog implements inputResolver.
-func (r *Runner) TableLog(name string) (*buffer.Log, error) {
+// TableLog implements inputResolver: the stream's log, created empty (with
+// zero marks for every earlier seal) if the stream has not arrived yet.
+func (r *Runner) TableLog(name string) *buffer.Log {
 	log, ok := r.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("exec: no log for table %q", name)
+		log = buffer.NewLog("table:"+name, r.sealed)
+		r.tables[name] = log
 	}
-	return log, nil
+	return log
 }
 
 // SubplanLog implements inputResolver.
@@ -214,59 +203,61 @@ func (r *Runner) report(paces []int) *Report {
 // RunWindow) driving mode's equivalent of Run's return value.
 func (r *Runner) ReportNow() *Report { return r.report(nil) }
 
-// arriveUpTo appends each table's deltas up to fraction j/p of the current
-// window's stream (the whole stream when StartWindow was never called).
+// arriveUpTo appends each stream's arrivals up to fraction j/p of the
+// current window's dataset to its log.
 func (r *Runner) arriveUpTo(j, p int) {
-	for name, log := range r.tables {
-		tuples := r.Data[name]
-		base := r.windowBase[name]
-		target := base + (len(tuples)-base)*j/p
-		from := r.appended[name]
-		if target > from {
-			log.Append(tuples[from:target]...)
-			r.appended[name] = target
+	for name, ts := range r.pending {
+		log := r.tables[name]
+		if from, target := log.Unsealed(), len(ts)*j/p; target > from {
+			log.Append(ts[from:target]...)
 		}
 	}
 }
 
-// StartWindow begins a new trigger window: the given deltas are appended to
-// each table's stream and become the window's arrivals, and the fractions
-// Fire arrives are measured over them alone. Operator and buffer state
-// carries over — the engine keeps ingesting, as the paper's recurring
-// trigger windows do. The scheduler runtime (internal/sched) drives
-// multi-window executions through this; Run and RunParallel consume the
-// single window the Runner was constructed with.
+// StartWindow begins a new trigger window whose arrivals are the given
+// deltas; the fractions Fire arrives are measured over them alone. The
+// runner reads arrivals in place until the window is sealed, so the caller
+// must not modify them before the next StartWindow or Graft. Operator and
+// buffer state carries over — the engine keeps ingesting, as the paper's
+// recurring trigger windows do. The scheduler runtime (internal/sched)
+// drives multi-window executions through this; Run and RunParallel consume
+// the single window the Runner was constructed with.
 func (r *Runner) StartWindow(arrivals DeltaDataset) {
 	r.sealWindow()
+	r.receive(arrivals)
 	r.winOpen = true
-	for name := range r.tables {
-		r.windowBase[name] = len(r.Data[name])
-	}
-	for name, ts := range arrivals {
-		r.Data[name] = append(r.Data[name], ts...)
-	}
 	r.computeWinClean()
 }
 
-// sealWindow closes the current window for graft bookkeeping: it records
-// every stream's current length and every executor's current output length,
-// forming one replayable unit of history. No-op when no window is open, so
-// empty windows are still sealed exactly once — a rebuilt subplan must
-// replay one execution per window even when the window carried no data (the
-// per-execution fixed startup cost is part of the modeled work a
+// receive makes arrivals the current window's pending dataset, giving every
+// stream in it a log.
+func (r *Runner) receive(arrivals DeltaDataset) {
+	r.pending = arrivals
+	for name := range arrivals {
+		r.TableLog(name)
+	}
+}
+
+// sealWindow closes the current window: the rest of its arrivals go into
+// the logs, and every table log and executor output log records its length,
+// forming one replayable unit of history for Graft. No-op when no window is
+// open, so empty windows are still sealed exactly once — a rebuilt subplan
+// must replay one execution per window even when the window carried no data
+// (the per-execution fixed startup cost is part of the modeled work a
 // from-scratch run would report).
 func (r *Runner) sealWindow() {
 	if !r.winOpen {
 		return
 	}
+	r.arriveUpTo(1, 1)
+	r.pending = nil
 	r.winOpen = false
-	marks := make(map[string]int, len(r.Data))
-	for name, ts := range r.Data {
-		marks[name] = len(ts)
+	r.sealed++
+	for _, log := range r.tables {
+		log.Seal()
 	}
-	r.winData = append(r.winData, marks)
 	for _, se := range r.Execs {
-		se.winOut = append(se.winOut, se.Out.Len())
+		se.Out.Seal()
 	}
 	// Arrangements whose last holder released during the window are only
 	// reclaimed now that it is sealed — tombstone-style deferred expiry, so

@@ -37,10 +37,6 @@ type SubplanExec struct {
 	batch       int
 	batches     int64
 	lastBatches int64
-	// winOut records Out.Len() at each window seal (see Runner.sealWindow):
-	// the marks that let a graft feed a rebuilt parent subplan exactly this
-	// executor's window-k output during replay.
-	winOut []int
 }
 
 type inputKey struct {
@@ -52,7 +48,7 @@ type inputKey struct {
 // log for a scan, or the producing subplan's output buffer.
 type inputResolver interface {
 	// TableLog returns the delta log of a base table.
-	TableLog(name string) (*buffer.Log, error)
+	TableLog(name string) *buffer.Log
 	// SubplanLog returns the output buffer of a subplan.
 	SubplanLog(s *mqo.Subplan) (*buffer.Log, error)
 }
@@ -65,7 +61,7 @@ type inputResolver interface {
 func NewSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int, reg *Registry) (*SubplanExec, error) {
 	se := &SubplanExec{
 		Sub:    sub,
-		Out:    buffer.NewLog(fmt.Sprintf("subplan%d", sub.ID)),
+		Out:    buffer.NewLog(fmt.Sprintf("subplan%d", sub.ID), 0),
 		ops:    make(map[*mqo.Op]operator),
 		member: make(map[*mqo.Op]bool),
 		inputs: make(map[inputKey]*buffer.Reader),
@@ -78,11 +74,7 @@ func NewSubplanExec(g *mqo.Graph, sub *mqo.Subplan, res inputResolver, batch int
 	for _, o := range sub.Ops {
 		se.ops[o] = newOperator(o, batch, reg)
 		if o.Kind == mqo.KindScan {
-			log, err := res.TableLog(o.Table.Name)
-			if err != nil {
-				return nil, err
-			}
-			se.inputs[inputKey{o, 0}] = log.NewReader()
+			se.inputs[inputKey{o, 0}] = res.TableLog(o.Table.Name).NewReader()
 			continue
 		}
 		for i, c := range o.Children {

@@ -71,10 +71,7 @@ func TestArriveWindowFractions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, err := r.TableLog("lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := r.TableLog("lineitem")
 	stream := InsertStream(Dataset{"lineitem": lineitemRows(
 		[2]int64{1, 1}, [2]int64{2, 2}, [2]int64{3, 3}, [2]int64{4, 4},
 	)})["lineitem"]

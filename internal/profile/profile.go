@@ -99,7 +99,7 @@ type Profiler struct {
 	rpos  int
 	total int // samples ever recorded (diagnostics)
 
-	alerts []Alert // every alert raised, in order
+	winAlerts []Alert // the last flushed window's alerts; the next flush reuses it
 }
 
 // New builds a profiler. Subplans must be ≥ 1; a Modeled slice, when given,
@@ -171,14 +171,14 @@ func (p *Profiler) modeledAt(window, subplan int) float64 {
 // subplan that fired it records a Sample into the ring and — when the
 // window has a positive baseline — folds the window's observed/modeled
 // ratio into the subplan's drift EWMA, raising an Alert if the EWMA leaves
-// [1/Bound, Bound]. It returns the window's samples (valid until the next
-// flush overwrites the ring) and the alerts raised. obs is only read. Nil
-// receivers return nothing.
+// [1/Bound, Bound]. It returns the window's samples and the alerts raised,
+// both valid until the next flush reuses their storage. obs is only read.
+// Nil receivers return nothing.
 func (p *Profiler) FlushWindow(window int, obs []Sample) ([]Sample, []Alert) {
 	if p == nil {
 		return nil, nil
 	}
-	firstAlert := len(p.alerts)
+	p.winAlerts = p.winAlerts[:0]
 	var first, n int = -1, 0
 	for sub, o := range obs[:min(len(obs), len(p.ewma))] {
 		if o.Firings == 0 {
@@ -193,7 +193,7 @@ func (p *Profiler) FlushWindow(window int, obs []Sample) ([]Sample, []Alert) {
 				p.ewma[sub] = p.cfg.Alpha*ratio + (1-p.cfg.Alpha)*p.ewma[sub]
 			}
 			if e := p.ewma[sub]; e > p.cfg.Bound || e < 1/p.cfg.Bound {
-				p.alerts = append(p.alerts, Alert{
+				p.winAlerts = append(p.winAlerts, Alert{
 					Window: window, Subplan: sub,
 					Drift: e, Modeled: modeled, Work: o.Work,
 				})
@@ -226,7 +226,7 @@ func (p *Profiler) FlushWindow(window int, obs []Sample) ([]Sample, []Alert) {
 			out = append(out, p.ring[:n-(len(p.ring)-first)]...)
 		}
 	}
-	return out, p.alerts[firstAlert:]
+	return out, p.winAlerts
 }
 
 // push appends one sample to the ring, overwriting the oldest entry when
@@ -284,14 +284,6 @@ func (p *Profiler) Drifts() []float64 {
 		out[i] = p.Drift(i)
 	}
 	return out
-}
-
-// Alerts returns every alert raised so far, in order.
-func (p *Profiler) Alerts() []Alert {
-	if p == nil {
-		return nil
-	}
-	return append([]Alert(nil), p.alerts...)
 }
 
 // SetModeled replaces the static per-subplan baseline — the closed loop's

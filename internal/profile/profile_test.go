@@ -70,8 +70,12 @@ func TestDriftEWMAAndAlerts(t *testing.T) {
 	if a.Window != 2 || a.Subplan != 0 || a.Drift != 2.5 || a.Modeled != 100 || a.Work != 300 {
 		t.Errorf("alert = %+v", a)
 	}
-	if got := p.Alerts(); len(got) != 1 || got[0] != a {
-		t.Errorf("Alerts() = %+v", got)
+	// The next flush reports only its own window's alerts: the EWMA stays
+	// out of band (0.5·3 + 0.5·2.5 = 2.75), so window 3 raises one more,
+	// and window 2's alert is not repeated.
+	_, alerts = p.FlushWindow(3, fire(2, 0, 300))
+	if len(alerts) != 1 || alerts[0].Window != 3 || alerts[0].Drift != 2.75 {
+		t.Errorf("window 3: alerts = %+v, want exactly window 3's", alerts)
 	}
 
 	// Subplan 1 never fired: no drift, no samples.
@@ -189,7 +193,7 @@ func TestNilProfilerNoOps(t *testing.T) {
 	if s, a := p.FlushWindow(0, obs); s != nil || a != nil {
 		t.Error("nil FlushWindow returned data")
 	}
-	if p.Samples() != nil || p.Alerts() != nil || p.Drifts() != nil {
+	if p.Samples() != nil || p.Drifts() != nil {
 		t.Error("nil accessors returned data")
 	}
 	if p.Drift(0) != 0 || p.Subplans() != 0 || p.Recorded() != 0 {

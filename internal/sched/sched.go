@@ -15,8 +15,8 @@
 // clock time, so overload (eager paces whose executions outrun the window)
 // is observable and reproducible.
 //
-// When a window overloads (a missed deadline, or firings starting later than
-// Config.LagThreshold after their due times), the degradation policy
+// When a window overloads (a missed deadline, or firings starting more than a
+// tenth of the window after their due times), the degradation policy
 // coarsens paces toward batch: it halves the pace of the subplan whose
 // eager (pre-trigger) executions consumed the most window time — the
 // highest spend per unit of slack bought, since under overload it is the
@@ -69,10 +69,6 @@ type Config struct {
 	// DisableDegradation turns the overload policy off: paces then stay
 	// fixed for the whole run no matter how many deadlines miss.
 	DisableDegradation bool
-	// LagThreshold is the start-lag beyond which a window counts as
-	// overloaded even when every deadline was met; 0 defaults to
-	// Window/10.
-	LagThreshold time.Duration
 	// Metrics receives the scheduler's counters and histograms; nil
 	// allocates a private registry, readable via Scheduler.Snapshot.
 	Metrics *metrics.Registry
@@ -333,9 +329,6 @@ func New(g *mqo.Graph, paces []int, src Source, cfg Config) (*Scheduler, error) 
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock{}
-	}
-	if cfg.LagThreshold == 0 {
-		cfg.LagThreshold = cfg.Window / 10
 	}
 	if cfg.Workers < 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -629,7 +622,10 @@ func (s *Scheduler) closeWindow() {
 	}
 	s.res.Met += ws.Met
 	s.res.Missed += ws.Missed
-	ws.Overloaded = ws.Missed > 0 || s.maxLag > s.cfg.LagThreshold
+	// A firing that started more than a tenth of the window late overloads
+	// the window even when every deadline was met.
+	const lagShare = 10
+	ws.Overloaded = ws.Missed > 0 || s.maxLag > s.cfg.Window/lagShare
 	// Drift settles before the degradation check so a recalibration —
 	// which retunes the model the paces came from — can preempt the blunt
 	// pace-halving response in the window that triggers it.

@@ -91,16 +91,6 @@ curl -fsS 127.0.0.1:19090/prometheus | grep -q '^# TYPE '
 curl -fsS 127.0.0.1:19091/statusz | grep -q '"window"'
 kill "$ISHARE_PID"
 
-# Informational benchmark diff: when both the frozen baseline and a current
-# bench-json report exist, print the per-benchmark deltas. Never fails the
-# gate — CI-runner noise is too high for a hard perf gate.
-if [ -f BENCH_PR9.json ] && [ -f BENCH_PR10.json ]; then
-	echo "== bench-diff (informational)"
-	go run ./cmd/benchdiff BENCH_PR9.json BENCH_PR10.json || true
-else
-	echo "== bench-diff skipped (run 'make bench-json' to produce BENCH_PR10.json)"
-fi
-
 if [ "${SKIP_FUZZ:-}" != "1" ]; then
 	echo "== scheduler soak ($SOAKTIME, race)"
 	go test ./internal/sched -race -run TestSchedulerSoak -soaktime "$SOAKTIME"
