@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ishare/internal/mqo"
 )
@@ -48,17 +49,18 @@ func (m *Model) Calibration() Calibration {
 	return m.calib
 }
 
-// applyCalibration scales a simulation result by the subplan's factors.
-func (m *Model) applyCalibration(s *mqo.Subplan, res SimResult) SimResult {
+// applyCalibration scales a fresh simulation result by the subplan's
+// factors, in place: the result owns its output slices.
+func (m *Model) applyCalibration(s *mqo.Subplan, res *SimResult) {
 	m.calibMu.RLock()
 	calib := m.calib
 	m.calibMu.RUnlock()
 	if calib == nil {
-		return res
+		return
 	}
 	f, ok := calib[s.Root.BaseSignature()]
 	if !ok {
-		return res
+		return
 	}
 	if f.Work > 0 {
 		res.PrivateTotal *= f.Work
@@ -67,17 +69,14 @@ func (m *Model) applyCalibration(s *mqo.Subplan, res SimResult) SimResult {
 		res.PrivateFinal *= f.Final
 	}
 	if f.Out > 0 {
-		out := res.Out
+		out := &res.Out
 		out.Gross *= f.Out
 		out.Net *= f.Out
-		scaled := make(map[int]float64, len(out.PerQuery))
-		for q, v := range out.PerQuery {
-			scaled[q] = v * f.Out
+		for v := out.Queries; v != 0; v &= v - 1 {
+			q := bits.TrailingZeros64(uint64(v))
+			out.PerQuery[q] *= f.Out
 		}
-		out.PerQuery = scaled
-		res.Out = out
 	}
-	return res
 }
 
 // CalibrationFromRun derives correction factors by comparing the model's

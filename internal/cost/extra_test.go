@@ -152,20 +152,6 @@ func TestValueClassesSplitStreams(t *testing.T) {
 	}
 }
 
-func TestProfileQueryShare(t *testing.T) {
-	p := Profile{Gross: 100, PerQuery: map[int]float64{0: 25}}
-	if got := p.queryShare(0); got != 0.25 {
-		t.Errorf("queryShare = %v", got)
-	}
-	if got := p.queryShare(1); got != 1 {
-		t.Errorf("unknown query share = %v, want 1", got)
-	}
-	empty := Profile{}
-	if got := empty.queryShare(0); got != 0 {
-		t.Errorf("empty share = %v", got)
-	}
-}
-
 func TestCompositeDistinctCaps(t *testing.T) {
 	g := joinGraph(t)
 	_ = g

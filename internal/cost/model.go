@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -18,8 +19,9 @@ import (
 // paper's Algorithm 1).
 //
 // Evaluate (and the helpers built on it) is safe for concurrent use: the
-// per-subplan memo tables are guarded by sharded locks, the table-profile
-// cache by its own lock, and the traffic counters are updated atomically.
+// per-subplan memo tables are guarded by sharded locks, each subplan's
+// program is compiled once and then only read, and the traffic counters are
+// updated atomically.
 // Simulation is deterministic, so concurrent misses on the same key store
 // identical entries and the evaluation result is independent of scheduling.
 type Model struct {
@@ -43,17 +45,18 @@ type Model struct {
 	memoMu      []sync.RWMutex
 	memo        []map[string]memoEntry
 	descendants [][]int
-	tableMu     sync.RWMutex
-	tableProf   map[tableKey]Profile
-	calibMu     sync.RWMutex
-	calib       Calibration
+	// progs[i] is subplan i's simulation program, compiled on its first
+	// simulation under progOnce[i] and shared by every later one.
+	progOnce []sync.Once
+	progs    []*program
+	// scratch pools Evaluate's per-subplan output arrays.
+	scratch freeList[[]Profile]
+	calibMu sync.RWMutex
+	calib   Calibration
 }
 
-type tableKey struct {
-	name    string
-	queries mqo.Bitset
-}
-
+// memoEntry is one cached simulation. Its out owns its slices: they were
+// copied out of the simulation's buffers, and nothing writes them after.
 type memoEntry struct {
 	pT, pF float64
 	out    Profile
@@ -73,11 +76,12 @@ type Eval struct {
 // NewModel builds a model for the graph with memoization enabled.
 func NewModel(g *mqo.Graph) *Model {
 	m := &Model{
-		Graph:     g,
-		UseMemo:   true,
-		memoMu:    make([]sync.RWMutex, len(g.Subplans)),
-		memo:      make([]map[string]memoEntry, len(g.Subplans)),
-		tableProf: make(map[tableKey]Profile),
+		Graph:    g,
+		UseMemo:  true,
+		memoMu:   make([]sync.RWMutex, len(g.Subplans)),
+		memo:     make([]map[string]memoEntry, len(g.Subplans)),
+		progOnce: make([]sync.Once, len(g.Subplans)),
+		progs:    make([]*program, len(g.Subplans)),
 	}
 	for i := range m.memo {
 		m.memo[i] = make(map[string]memoEntry)
@@ -106,15 +110,22 @@ func NewModel(g *mqo.Graph) *Model {
 
 // Evaluate estimates the cost of a pace configuration.
 func (m *Model) Evaluate(paces []int) (Eval, error) {
-	ev, _, err := m.evaluateFull(paces)
+	// The subplan outputs do not escape an evaluation, so their array
+	// comes from the model's pool.
+	outputs := m.scratch.get(func() []Profile { return make([]Profile, len(m.Graph.Subplans)) })
+	ev, err := m.evaluateFull(paces, outputs)
+	m.scratch.put(outputs)
 	return ev, err
 }
 
 // OutputProfiles returns each subplan's estimated output profile under the
 // pace configuration, indexed by subplan id.
 func (m *Model) OutputProfiles(paces []int) ([]Profile, error) {
-	_, outs, err := m.evaluateFull(paces)
-	return outs, err
+	outs := make([]Profile, len(m.Graph.Subplans))
+	if _, err := m.evaluateFull(paces, outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
 }
 
 // SubplanInputs returns each member operator's external input profiles for
@@ -131,26 +142,46 @@ func (m *Model) SubplanInputs(s *mqo.Subplan, paces []int) (map[*mqo.Op][]Profil
 // every member operator's accumulated output profile — the input
 // cardinalities used by decomposition's subtree-local optimization.
 func (m *Model) OpOutputs(s *mqo.Subplan, paces []int) (map[*mqo.Op]Profile, error) {
-	inputs, err := m.SubplanInputs(s, paces)
+	outs, err := m.OutputProfiles(paces)
 	if err != nil {
 		return nil, err
 	}
 	atomic.AddInt64(&m.Sims, 1)
-	_, outs := SimulateSubplanOps(s, paces[s.ID], inputs, true)
-	return outs, nil
+	_, ops := m.simulate(s, paces[s.ID], outs, true)
+	return ops, nil
 }
 
-func (m *Model) evaluateFull(paces []int) (Eval, []Profile, error) {
+// program returns the subplan's compiled simulation program.
+func (m *Model) program(s *mqo.Subplan) *program {
+	m.progOnce[s.ID].Do(func() { m.progs[s.ID] = compile(s, m) })
+	return m.progs[s.ID]
+}
+
+// simulate runs one subplan's program on a pooled run state, reading its
+// external inputs from the table profiles and the child subplans' outputs.
+func (m *Model) simulate(s *mqo.Subplan, pace int, outputs []Profile, collect bool) (SimResult, map[*mqo.Op]Profile) {
+	p := m.program(s)
+	r := p.runs.get(p.newRun)
+	for i := range p.ext {
+		r.setInput(p, i, p.ext[i].profile(outputs), pace)
+	}
+	res, ops := p.run(r, pace, collect)
+	p.runs.put(r)
+	return res, ops
+}
+
+// evaluateFull evaluates a pace configuration, leaving each subplan's
+// output profile in outputs (one slot per subplan).
+func (m *Model) evaluateFull(paces []int, outputs []Profile) (Eval, error) {
 	g := m.Graph
 	if len(paces) != len(g.Subplans) {
-		return Eval{}, nil, fmt.Errorf("cost: %d paces for %d subplans", len(paces), len(g.Subplans))
+		return Eval{}, fmt.Errorf("cost: %d paces for %d subplans", len(paces), len(g.Subplans))
 	}
 	ev := Eval{
 		SubTotal:   make([]float64, len(g.Subplans)),
 		SubFinal:   make([]float64, len(g.Subplans)),
 		QueryFinal: make([]float64, g.Plan.NumQueries()),
 	}
-	outputs := make([]Profile, len(g.Subplans))
 	keyBuf := make([]byte, 0, 64)
 	// Counters accumulate locally and publish once per evaluation: one
 	// atomic add per counter instead of one per subplan keeps concurrent
@@ -174,8 +205,8 @@ func (m *Model) evaluateFull(paces []int) (Eval, []Profile, error) {
 		}
 		if !hit {
 			sims++
-			res = SimulateSubplan(s, paces[s.ID], m.inputsFor(s, outputs))
-			res = m.applyCalibration(s, res)
+			res, _ = m.simulate(s, paces[s.ID], outputs, false)
+			m.applyCalibration(s, &res)
 			if m.UseMemo {
 				mu := &m.memoMu[s.ID]
 				mu.Lock()
@@ -187,8 +218,8 @@ func (m *Model) evaluateFull(paces []int) (Eval, []Profile, error) {
 		ev.SubTotal[s.ID] = res.PrivateTotal
 		ev.SubFinal[s.ID] = res.PrivateFinal
 		ev.Total += res.PrivateTotal
-		for _, q := range s.Queries.Members() {
-			ev.QueryFinal[q] += res.PrivateFinal
+		for v := s.Queries; v != 0; v &= v - 1 {
+			ev.QueryFinal[bits.TrailingZeros64(uint64(v))] += res.PrivateFinal
 		}
 	}
 	if lookups != 0 {
@@ -208,46 +239,21 @@ func (m *Model) evaluateFull(paces []int) (Eval, []Profile, error) {
 		m.Trace.Count("cost.memo_hits", hits)
 		m.Trace.Count("cost.sims", sims)
 	}
-	return ev, outputs, nil
+	return ev, nil
 }
 
-// inputsFor assembles each member op's external input profiles.
+// inputsFor assembles each member op's external input profiles from the
+// subplan's compiled input slots. Member inputs, simulated inline, stay
+// zero.
 func (m *Model) inputsFor(s *mqo.Subplan, outputs []Profile) map[*mqo.Op][]Profile {
-	member := make(map[*mqo.Op]bool, len(s.Ops))
+	in := make(map[*mqo.Op][]Profile, len(s.Ops))
 	for _, o := range s.Ops {
-		member[o] = true
+		in[o] = make([]Profile, max(1, len(o.Children)))
 	}
-	in := make(map[*mqo.Op][]Profile)
-	for _, o := range s.Ops {
-		if o.Kind == mqo.KindScan {
-			in[o] = []Profile{m.tableProfile(o)}
-			continue
-		}
-		profs := make([]Profile, len(o.Children))
-		for i, c := range o.Children {
-			if member[c] {
-				continue // computed inline by the simulator
-			}
-			profs[i] = outputs[m.Graph.SubplanOf(c).ID]
-		}
-		in[o] = profs
+	for _, x := range m.program(s).ext {
+		in[x.op][x.child] = x.profile(outputs)
 	}
 	return in
-}
-
-func (m *Model) tableProfile(o *mqo.Op) Profile {
-	k := tableKey{name: o.Table.Name, queries: o.Queries}
-	m.tableMu.RLock()
-	p, ok := m.tableProf[k]
-	m.tableMu.RUnlock()
-	if ok {
-		return p
-	}
-	p = TableProfile(o.Table, o.Queries)
-	m.tableMu.Lock()
-	m.tableProf[k] = p
-	m.tableMu.Unlock()
-	return p
 }
 
 // appendPrivateKey renders the subplan's private pace configuration into buf.

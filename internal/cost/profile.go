@@ -10,6 +10,7 @@ package cost
 
 import (
 	"math"
+	"math/bits"
 
 	"ishare/internal/catalog"
 	"ishare/internal/expr"
@@ -29,37 +30,25 @@ type Profile struct {
 	Net float64
 	// DeleteShare is the fraction of Gross that are deletions.
 	DeleteShare float64
-	// PerQuery maps query id to the gross tuples valid for that query.
-	PerQuery map[int]float64
+	// PerQuery holds, indexed by query id, the gross tuples valid for each
+	// query in Queries. A query outside Queries sees the whole stream.
+	PerQuery []float64
+	// Queries marks the entries of PerQuery that are set.
+	Queries mqo.Bitset
 	// Cols carries per-column statistics for selectivity and distinct
 	// estimation.
 	Cols []catalog.ColumnStats
 }
 
-// queryShare returns the fraction of the stream valid for query q.
-func (p Profile) queryShare(q int) float64 {
-	if p.Gross <= 0 {
-		return 0
-	}
-	if v, ok := p.PerQuery[q]; ok {
-		return clamp01(v / p.Gross)
-	}
-	return 1
-}
-
 // avgBits returns the average number of valid query bits per tuple,
-// restricted to the given query set.
-func (p Profile) avgBits(queries mqo.Bitset) float64 {
+// restricted to the given queries.
+func (p *Profile) avgBits(queries []int) float64 {
 	if p.Gross <= 0 {
 		return 0
 	}
 	var sum float64
-	for _, q := range queries.Members() {
-		if v, ok := p.PerQuery[q]; ok {
-			sum += v
-		} else {
-			sum += p.Gross
-		}
+	for _, q := range queries {
+		sum += grossFor(p, q)
 	}
 	b := sum / p.Gross
 	if b < 0 {
@@ -74,7 +63,8 @@ func TableProfile(t *catalog.Table, queries mqo.Bitset) Profile {
 	p := Profile{
 		Gross:    t.Stats.RowCount,
 		Net:      t.Stats.RowCount,
-		PerQuery: make(map[int]float64),
+		PerQuery: make([]float64, 64-bits.LeadingZeros64(uint64(queries))),
+		Queries:  queries,
 		Cols:     make([]catalog.ColumnStats, len(t.Columns)),
 	}
 	for i, c := range t.Columns {

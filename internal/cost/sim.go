@@ -1,6 +1,9 @@
 package cost
 
 import (
+	"math/bits"
+	"sync"
+
 	"ishare/internal/catalog"
 	"ishare/internal/exec"
 	"ishare/internal/expr"
@@ -25,30 +28,6 @@ type SimResult struct {
 	Out Profile
 }
 
-// opSim is the per-operator simulation state persisted across the simulated
-// incremental executions of one subplan.
-type opSim struct {
-	op *mqo.Op
-
-	// Join state.
-	leftState, rightState     perQueryCard
-	leftNet, rightNet         float64
-	leftKeyDist, rightKeyDist float64
-	// Aggregate state.
-	arrived     perQueryCard
-	arrivedAll  float64
-	groupsPrev  perQueryCard
-	groupDomain float64
-	netState    float64
-}
-
-// perQueryCard is a per-query cardinality vector.
-type perQueryCard map[int]float64
-
-func (p perQueryCard) add(q int, v float64) {
-	p[q] += v
-}
-
 // SimulateSubplan runs the analytic simulation of one subplan: pace
 // executions, each consuming 1/pace of every input profile (the paper's
 // memoization-friendly redefinition of pace over the subplan's own input).
@@ -61,63 +40,321 @@ func SimulateSubplan(s *mqo.Subplan, pace int, inputs map[*mqo.Op][]Profile) Sim
 // accumulated output profile when collect is true — the input cardinalities
 // decomposition needs for subtree-local optimization (paper Figure 7).
 func SimulateSubplanOps(s *mqo.Subplan, pace int, inputs map[*mqo.Op][]Profile, collect bool) (SimResult, map[*mqo.Op]Profile) {
-	sims := make(map[*mqo.Op]*opSim, len(s.Ops))
+	p := compile(s, nil)
+	r := p.newRun()
+	for i, x := range p.ext {
+		r.setInput(p, i, inputs[x.op][x.child], pace)
+	}
+	return p.run(r, pace, collect)
+}
+
+// program is one subplan compiled for simulation. Everything the
+// per-execution loop would otherwise re-derive — the visit order, each
+// operator's input slots, its member queries, its predicates' canonical
+// de-duplication — is computed once. A program is immutable after compile
+// except for its pool of run states, so concurrent evaluations share it.
+type program struct {
+	// ops is the post-order visit from the root, children left to right:
+	// every member's inputs precede it and the root is last, so work sums
+	// in the order the recursive visit produced.
+	ops []progOp
+	// numOps is len(Subplan.Ops), the per-execution startup cost's factor.
+	numOps int
+	// ext lists the external inputs: base tables and child subplan outputs.
+	ext []extSlot
+	// width is one more than the largest member query id: the length of
+	// every dense per-query vector the run states own.
+	width int
+
+	runs freeList[*runState]
+}
+
+// freeList is a mutex-guarded stack of reusable values. The model owns
+// every free list, so pooled state dies with it; a package-level sync.Pool
+// would keep it alive through a garbage collection in its victim cache.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []T
+}
+
+// get pops a pooled value, or returns fresh() when the list is empty.
+func (f *freeList[T]) get(fresh func() T) T {
+	f.mu.Lock()
+	n := len(f.free)
+	if n == 0 {
+		f.mu.Unlock()
+		return fresh()
+	}
+	v := f.free[n-1]
+	f.free = f.free[:n-1]
+	f.mu.Unlock()
+	return v
+}
+
+// put pushes a value for reuse.
+func (f *freeList[T]) put(v T) {
+	f.mu.Lock()
+	f.free = append(f.free, v)
+	f.mu.Unlock()
+}
+
+// progOp is one compiled member operator.
+type progOp struct {
+	op *mqo.Op
+	// in holds the input slots: i ≥ 0 is ops[i]'s output, i < 0 is
+	// external input ^i.
+	in      [2]int
+	members []int
+	// preds is aligned with members.
+	preds       []memberPred
+	hasExtremum bool
+	// colRefs reports that every projection is a plain column reference
+	// below maxCol, so the projected stats change only with the input's.
+	colRefs bool
+	maxCol  int
+}
+
+// memberPred is one member query's marker predicate; nil passes.
+type memberPred struct {
+	e expr.Expr
+	// first is set on the first member carrying this canonical predicate:
+	// queries sharing an identical predicate select the same tuples, so
+	// the union survival counts it once.
+	first bool
+}
+
+// extSlot is one external input: the consuming member and its input
+// position (0 for a scan's base table). In a model's program, table holds
+// the scan's table profile and src the producing subplan's id otherwise.
+type extSlot struct {
+	op    *mqo.Op
+	child int
+	table *Profile
+	src   int
+}
+
+// profile returns a model program's external input: the table profile or
+// the producing subplan's entry in outputs.
+func (x *extSlot) profile(outputs []Profile) Profile {
+	if x.table != nil {
+		return *x.table
+	}
+	return outputs[x.src]
+}
+
+// compile builds the program of a subplan. With a model, external inputs
+// are resolved once: scans get their table profile and other inputs the
+// producing subplan's id in its graph. Without one they are read from the
+// caller's input map.
+func compile(s *mqo.Subplan, m *Model) *program {
+	p := &program{numOps: len(s.Ops)}
 	member := make(map[*mqo.Op]bool, len(s.Ops))
 	for _, o := range s.Ops {
-		sims[o] = newOpSim(o, inputs)
 		member[o] = true
 	}
-
-	var res SimResult
-	var outGross, outDeletes, outNet float64
-	var outPerQuery perQueryCard = make(map[int]float64)
-	var outCols []catalog.ColumnStats
-	var opOut map[*mqo.Op]Profile
-	if collect {
-		opOut = make(map[*mqo.Op]Profile, len(s.Ops))
-	}
-
-	for e := 1; e <= pace; e++ {
-		var work float64
-		var rootOut Profile
-		var visit func(o *mqo.Op) Profile
-		visit = func(o *mqo.Op) Profile {
-			var ins []Profile
-			if o.Kind == mqo.KindScan {
-				ins = []Profile{chunk(inputs[o][0], pace)}
-			} else {
-				ins = make([]Profile, len(o.Children))
-				for i, c := range o.Children {
-					if member[c] {
-						ins[i] = visit(c)
-					} else {
-						ins[i] = chunk(inputs[o][i], pace)
-					}
+	var visit func(o *mqo.Op) int
+	visit = func(o *mqo.Op) int {
+		po := progOp{op: o, members: o.Queries.Members()}
+		addExt := func(child int, c *mqo.Op) int {
+			x := extSlot{op: o, child: child, src: -1}
+			if m != nil {
+				if o.Kind == mqo.KindScan {
+					tp := TableProfile(o.Table, o.Queries)
+					x.table = &tp
+				} else {
+					x.src = m.Graph.SubplanOf(c).ID
 				}
 			}
-			out, w := sims[o].step(ins)
-			work += w
-			if collect {
-				acc := opOut[o]
-				if acc.PerQuery == nil {
-					acc.PerQuery = make(map[int]float64)
+			p.ext = append(p.ext, x)
+			return ^(len(p.ext) - 1)
+		}
+		if o.Kind == mqo.KindScan {
+			po.in[0] = addExt(0, nil)
+		} else {
+			for i, c := range o.Children {
+				if member[c] {
+					po.in[i] = visit(c)
+				} else {
+					po.in[i] = addExt(i, c)
 				}
+			}
+		}
+		seen := make(map[string]bool, len(o.Preds))
+		po.preds = make([]memberPred, len(po.members))
+		for i, q := range po.members {
+			if e, ok := o.Preds[q]; ok {
+				canon := expr.Canon(e)
+				po.preds[i] = memberPred{e: e, first: !seen[canon]}
+				seen[canon] = true
+			}
+		}
+		for _, a := range o.Aggs {
+			if !a.Func.Incremental() {
+				po.hasExtremum = true
+			}
+		}
+		po.colRefs = true
+		for _, ne := range o.Exprs {
+			c, ok := ne.E.(*expr.Column)
+			if !ok {
+				po.colRefs = false
+				break
+			}
+			po.maxCol = max(po.maxCol, c.Index)
+		}
+		if n := 64 - bits.LeadingZeros64(uint64(o.Queries)); n > p.width {
+			p.width = n
+		}
+		p.ops = append(p.ops, po)
+		return len(p.ops) - 1
+	}
+	visit(s.Root)
+	return p
+}
+
+// runState is one simulation's mutable state: per-operator state and
+// output buffers, reused across executions and, through the program's
+// pool, across simulations.
+type runState struct {
+	ops []opState
+	// ext holds each external input's per-execution chunk.
+	ext []Profile
+	// outPQ accumulates the root's per-query output.
+	outPQ []float64
+	// acc accumulates every member's output when collecting.
+	acc []Profile
+}
+
+// opState is one operator's state, persisted across the simulated
+// incremental executions of its subplan.
+type opState struct {
+	// out is this execution's output. Its PerQuery and Cols buffers are
+	// owned by the operator and overwritten by every execution.
+	out Profile
+	// colsVer changes whenever out.Cols may have changed; inVer and selVer
+	// record the input versions the derived column stats and the cached
+	// selectivities were computed from. Version 0 means never.
+	colsVer, selVer uint64
+	inVer           [2]uint64
+	sel             []float64
+	stats           colStats
+	// cols is the owned buffer behind out.Cols for operators that derive
+	// their output stats (project, join, aggregate).
+	cols []catalog.ColumnStats
+	// colsGroups is the group count the aggregate's stats were built for.
+	colsGroups float64
+
+	// Join state.
+	leftState, rightState []float64
+	leftNet, rightNet     float64
+	// Aggregate state.
+	arrived     []float64
+	arrivedAll  float64
+	groupDomain float64
+	netState    float64
+}
+
+// extVer is every external input's column-stats version: their stats are
+// fixed for a whole simulation.
+const extVer = 1
+
+func (p *program) newRun() *runState {
+	r := &runState{
+		ops:   make([]opState, len(p.ops)),
+		ext:   make([]Profile, len(p.ext)),
+		outPQ: make([]float64, p.width),
+	}
+	for i := range r.ops {
+		o, st := p.ops[i].op, &r.ops[i]
+		st.out = Profile{PerQuery: make([]float64, p.width), Queries: o.Queries}
+		st.sel = make([]float64, len(p.ops[i].members))
+		switch o.Kind {
+		case mqo.KindJoin:
+			st.leftState = make([]float64, p.width)
+			st.rightState = make([]float64, p.width)
+		case mqo.KindAggregate:
+			st.arrived = make([]float64, p.width)
+		}
+	}
+	for i := range r.ext {
+		r.ext[i].PerQuery = make([]float64, p.width)
+	}
+	return r
+}
+
+// setInput stores external input i's per-execution share: 1/pace of the
+// stream, with per-query values kept only for the consuming member's
+// queries (the only ones the simulation reads).
+func (r *runState) setInput(p *program, i int, in Profile, pace int) {
+	k := float64(pace)
+	c := &r.ext[i]
+	c.Gross = in.Gross / k
+	c.Net = in.Net / k
+	c.DeleteShare = in.DeleteShare
+	c.Cols = in.Cols
+	c.Queries = in.Queries & p.ext[i].op.Queries
+	for v := c.Queries; v != 0; v &= v - 1 {
+		q := bits.TrailingZeros64(uint64(v))
+		c.PerQuery[q] = in.PerQuery[q] / k
+	}
+}
+
+// reset clears the state a previous simulation left behind.
+func (r *runState) reset() {
+	for i := range r.ops {
+		st := &r.ops[i]
+		st.colsVer, st.selVer, st.inVer = 0, 0, [2]uint64{}
+		clear(st.leftState)
+		clear(st.rightState)
+		clear(st.arrived)
+		st.leftNet, st.rightNet = 0, 0
+		st.arrivedAll, st.groupDomain, st.netState = 0, 0, 0
+	}
+	clear(r.outPQ)
+}
+
+// input returns input slot i of an operator and its column-stats version.
+func (r *runState) input(i int) (*Profile, uint64) {
+	if i < 0 {
+		return &r.ext[^i], extVer
+	}
+	return &r.ops[i].out, r.ops[i].colsVer
+}
+
+// run simulates pace executions over the inputs already set on r. Only the
+// result escapes: the root's accumulated output and, when collecting, each
+// member's, copied out of r's buffers once at the end.
+func (p *program) run(r *runState, pace int, collect bool) (SimResult, map[*mqo.Op]Profile) {
+	r.reset()
+	if collect {
+		r.acc = make([]Profile, len(p.ops))
+		for i := range r.acc {
+			r.acc[i].PerQuery = make([]float64, p.width)
+		}
+	}
+	var res SimResult
+	var outGross, outDeletes, outNet float64
+	root := len(p.ops) - 1
+	for e := 1; e <= pace; e++ {
+		var work float64
+		for i := range p.ops {
+			work += r.step(&p.ops[i], &r.ops[i])
+			if collect {
+				out, acc := &r.ops[i].out, &r.acc[i]
 				acc.Gross += out.Gross
 				acc.DeleteShare += out.Gross * out.DeleteShare // normalized below
 				acc.Net += out.Net
-				acc.Cols = out.Cols
-				for q, v := range out.PerQuery {
-					acc.PerQuery[q] += v
+				for v := out.Queries; v != 0; v &= v - 1 {
+					q := bits.TrailingZeros64(uint64(v))
+					acc.PerQuery[q] += out.PerQuery[q]
 				}
-				opOut[o] = acc
 			}
-			return out
 		}
-		rootOut = visit(s.Root)
+		rootOut := &r.ops[root].out
 		// Root output materialization plus the per-execution startup
 		// cost, as in the engine.
 		work += rootOut.Gross
-		work += float64(exec.StartupCostPerOp * len(s.Ops))
+		work += float64(exec.StartupCostPerOp * p.numOps)
 		res.PrivateTotal += work
 		if e == pace {
 			res.PrivateFinal = work
@@ -125,101 +362,83 @@ func SimulateSubplanOps(s *mqo.Subplan, pace int, inputs map[*mqo.Op][]Profile, 
 		outGross += rootOut.Gross
 		outDeletes += rootOut.Gross * rootOut.DeleteShare
 		outNet += rootOut.Net
-		for q, v := range rootOut.PerQuery {
-			outPerQuery.add(q, v)
+		for v := rootOut.Queries; v != 0; v &= v - 1 {
+			q := bits.TrailingZeros64(uint64(v))
+			r.outPQ[q] += rootOut.PerQuery[q]
 		}
-		outCols = rootOut.Cols
 	}
 	res.Out = Profile{
 		Gross:    outGross,
 		Net:      outNet,
-		PerQuery: outPerQuery,
-		Cols:     outCols,
+		PerQuery: append([]float64(nil), r.outPQ...),
+		Queries:  r.ops[root].out.Queries,
+		Cols:     append([]catalog.ColumnStats(nil), r.ops[root].out.Cols...),
 	}
 	if outGross > 0 {
 		res.Out.DeleteShare = outDeletes / outGross
 	}
-	// Normalize the accumulated delete shares.
-	for o, p := range opOut {
-		if p.Gross > 0 {
-			p.DeleteShare /= p.Gross
-		}
-		opOut[o] = p
+	if !collect {
+		return res, nil
 	}
+	opOut := make(map[*mqo.Op]Profile, len(p.ops))
+	for i := range p.ops {
+		acc := r.acc[i]
+		if acc.Gross > 0 {
+			acc.DeleteShare /= acc.Gross
+		}
+		acc.Queries = r.ops[i].out.Queries
+		acc.Cols = append([]catalog.ColumnStats(nil), r.ops[i].out.Cols...)
+		opOut[p.ops[i].op] = acc
+	}
+	r.acc = nil
 	return res, opOut
 }
 
-// chunk returns one execution's share of an input profile.
-func chunk(p Profile, pace int) Profile {
-	k := float64(pace)
-	out := Profile{
-		Gross:       p.Gross / k,
-		Net:         p.Net / k,
-		DeleteShare: p.DeleteShare,
-		PerQuery:    make(map[int]float64, len(p.PerQuery)),
-		Cols:        p.Cols,
-	}
-	for q, v := range p.PerQuery {
-		out.PerQuery[q] = v / k
-	}
-	return out
-}
-
-func newOpSim(o *mqo.Op, inputs map[*mqo.Op][]Profile) *opSim {
-	return &opSim{
-		op:         o,
-		leftState:  make(map[int]float64),
-		rightState: make(map[int]float64),
-		arrived:    make(map[int]float64),
-		groupsPrev: make(map[int]float64),
-	}
-}
-
-// step simulates one execution of the operator over one input chunk per
-// child and returns (output profile, work units).
-func (s *opSim) step(ins []Profile) (Profile, float64) {
-	switch s.op.Kind {
+// step simulates one execution of the operator over its inputs' current
+// outputs, leaves its output in st.out and returns its work units.
+func (r *runState) step(o *progOp, st *opState) float64 {
+	in, ver := r.input(o.in[0])
+	switch o.op.Kind {
 	case mqo.KindScan:
-		return s.stepFilterLike(ins[0], s.op.Schema(), true)
+		return st.stepFilterLike(o, in, ver)
 	case mqo.KindProject:
-		return s.stepProject(ins[0])
+		return st.stepProject(o, in, ver)
 	case mqo.KindJoin:
-		return s.stepJoin(ins[0], ins[1])
+		rt, rver := r.input(o.in[1])
+		return st.stepJoin(o, in, rt, ver, rver)
 	case mqo.KindAggregate:
-		return s.stepAgg(ins[0])
+		return st.stepAgg(o, in, ver)
 	default:
-		return Profile{}, 0
+		panic("cost: unknown operator kind " + o.op.Kind.String())
 	}
 }
 
 // applyPreds computes the per-query and union survival of the operator's
-// marker predicates over a stream.
-func (s *opSim) applyPreds(in Profile) (out Profile) {
-	out = Profile{
-		Net:         in.Net,
-		DeleteShare: in.DeleteShare,
-		PerQuery:    make(map[int]float64),
-		Cols:        in.Cols,
+// marker predicates over a stream into st.out.
+func (st *opState) applyPreds(o *progOp, in *Profile, ver uint64) {
+	out := &st.out
+	out.DeleteShare = in.DeleteShare
+	if st.selVer != ver {
+		st.stats.cols = in.Cols
+		for i, mp := range o.preds {
+			if mp.e != nil {
+				st.sel[i] = expr.Selectivity(mp.e, &st.stats)
+			}
+		}
+		st.selVer = ver
 	}
-	stats := colStats{cols: in.Cols}
 	// The union survival multiplies misses over DISTINCT predicates:
 	// queries sharing an identical predicate select the same tuples, so
 	// counting the predicate once keeps the union (and the per-query
 	// divergence signal downstream) correct.
 	unionMiss := 1.0
 	anyPass := false
-	seenPred := make(map[string]bool, len(s.op.Preds))
-	for _, q := range s.op.Queries.Members() {
-		inQ := in.Gross
-		if v, ok := in.PerQuery[q]; ok {
-			inQ = v
-		}
+	for i, q := range o.members {
+		inQ := grossFor(in, q)
 		sel := 1.0
-		if pred, ok := s.op.Preds[q]; ok {
-			sel = expr.Selectivity(pred, stats)
-			canon := expr.Canon(pred)
-			if !seenPred[canon] {
-				seenPred[canon] = true
+		if mp := o.preds[i]; mp.e != nil {
+			sel = st.sel[i]
+			if mp.first {
 				unionMiss *= 1 - sel
 			}
 		} else {
@@ -233,48 +452,53 @@ func (s *opSim) applyPreds(in Profile) (out Profile) {
 	}
 	out.Gross = in.Gross * unionSel
 	out.Net = in.Net * unionSel
-	return out
 }
 
 // stepFilterLike models scans (and any pass-through with markers).
-func (s *opSim) stepFilterLike(in Profile, schema []plan.Field, isScan bool) (Profile, float64) {
-	out := s.applyPreds(in)
-	work := in.Gross + out.Gross
-	return out, work
+func (st *opState) stepFilterLike(o *progOp, in *Profile, ver uint64) float64 {
+	st.applyPreds(o, in, ver)
+	st.out.Cols = in.Cols
+	st.colsVer = ver
+	return in.Gross + st.out.Gross
 }
 
-func (s *opSim) stepProject(in Profile) (Profile, float64) {
-	out := s.applyPreds(in)
+func (st *opState) stepProject(o *progOp, in *Profile, ver uint64) float64 {
+	st.applyPreds(o, in, ver)
 	// Projection rewrites columns; derive output stats per expression.
-	out.Cols = projectCols(s.op.Exprs, in.Cols, out.Net)
-	work := in.Gross + out.Gross
-	return out, work
+	// Stats of plain column references change only with the input's;
+	// computed columns track the output size, which changes every step.
+	if ver != st.inVer[0] || !o.colRefs || o.maxCol >= len(in.Cols) {
+		st.cols = projectCols(st.cols[:0], o.op.Exprs, in.Cols, st.out.Net)
+		st.inVer[0] = ver
+		st.colsVer++
+	}
+	st.out.Cols = st.cols
+	return in.Gross + st.out.Gross
 }
 
-func projectCols(exprs []plan.NamedExpr, in []catalog.ColumnStats, n float64) []catalog.ColumnStats {
-	out := make([]catalog.ColumnStats, len(exprs))
-	for i, ne := range exprs {
+// projectCols appends the projection's output stats to dst.
+func projectCols(dst []catalog.ColumnStats, exprs []plan.NamedExpr, in []catalog.ColumnStats, n float64) []catalog.ColumnStats {
+	for _, ne := range exprs {
 		if c, ok := ne.E.(*expr.Column); ok && c.Index < len(in) {
-			out[i] = in[c.Index]
+			dst = append(dst, in[c.Index])
 			continue
 		}
-		out[i] = catalog.ColumnStats{Distinct: n}
+		dst = append(dst, catalog.ColumnStats{Distinct: n})
 	}
-	return out
+	return dst
 }
 
-func (s *opSim) stepJoin(l, r Profile) (Profile, float64) {
+func (st *opState) stepJoin(o *progOp, l, r *Profile, lver, rver uint64) float64 {
 	// Key distinct estimates refresh with arrived data. Composite keys
 	// multiply per-column distincts, capped by the side's row count.
-	if len(s.op.LeftKeys) > 0 {
-		s.leftKeyDist = compositeDistinct(s.op.LeftKeys, l.Cols, s.leftNet+l.Net)
-		s.rightKeyDist = compositeDistinct(s.op.RightKeys, r.Cols, s.rightNet+r.Net)
-	} else {
-		s.leftKeyDist, s.rightKeyDist = 1, 1
+	leftKeyDist, rightKeyDist := 1.0, 1.0
+	if len(o.op.LeftKeys) > 0 {
+		leftKeyDist = compositeDistinct(o.op.LeftKeys, l.Cols, st.leftNet+l.Net)
+		rightKeyDist = compositeDistinct(o.op.RightKeys, r.Cols, st.rightNet+r.Net)
 	}
-	d := s.leftKeyDist
-	if s.rightKeyDist > d {
-		d = s.rightKeyDist
+	d := leftKeyDist
+	if rightKeyDist > d {
+		d = rightKeyDist
 	}
 	if d < 1 {
 		d = 1
@@ -284,40 +508,40 @@ func (s *opSim) stepJoin(l, r Profile) (Profile, float64) {
 	work := l.Gross + r.Gross // tuples
 	work += l.Gross + r.Gross // state updates
 
-	out := Profile{PerQuery: make(map[int]float64)}
-	for _, q := range s.op.Queries.Members() {
+	out := &st.out
+	for _, q := range o.members {
 		lq := grossFor(l, q)
 		rq := grossFor(r, q)
-		lState := s.leftState[q]
-		rState := s.rightState[q]
 		// ΔL ⋈ R_old + (L_old + ΔL) ⋈ ΔR.
-		matches := lq*rState*sel + (lState+lq)*rq*sel
-		out.PerQuery[q] = matches
+		out.PerQuery[q] = lq*st.rightState[q]*sel + (st.leftState[q]+lq)*rq*sel
 	}
 	lU, rU := l.Gross, r.Gross
-	lStateU, rStateU := s.leftNetGrossState(), s.rightNetGrossState()
-	union := lU*rStateU*sel + (lStateU+lU)*rU*sel
+	union := lU*st.rightNet*sel + (st.leftNet+lU)*rU*sel
 	out.Gross = union
 	work += union // outputs
 
 	// Update state with net arrivals; the output's net increment is the
 	// derivative of Ln·Rn·sel: ΔLn·Rn_old + Ln_new·ΔRn.
-	for _, q := range s.op.Queries.Members() {
-		s.leftState.add(q, grossFor(l, q)*(1-2*l.DeleteShare))
-		s.rightState.add(q, grossFor(r, q)*(1-2*r.DeleteShare))
+	for _, q := range o.members {
+		st.leftState[q] += grossFor(l, q) * (1 - 2*l.DeleteShare)
+		st.rightState[q] += grossFor(r, q) * (1 - 2*r.DeleteShare)
 	}
-	netInc := (l.Net*s.rightNet + (s.leftNet+l.Net)*r.Net) * sel
-	s.leftNet += l.Net
-	s.rightNet += r.Net
+	netInc := (l.Net*st.rightNet + (st.leftNet+l.Net)*r.Net) * sel
+	st.leftNet += l.Net
+	st.rightNet += r.Net
 
 	out.Net = netInc
 	out.DeleteShare = combineDeleteShare(l.DeleteShare, r.DeleteShare)
-	out.Cols = append(append([]catalog.ColumnStats{}, l.Cols...), r.Cols...)
-	return out, work
+	// The output schema is the concatenation of the inputs': rebuild it
+	// only when either side's stats changed.
+	if lver != st.inVer[0] || rver != st.inVer[1] {
+		st.cols = append(append(st.cols[:0], l.Cols...), r.Cols...)
+		st.inVer = [2]uint64{lver, rver}
+		st.colsVer++
+	}
+	out.Cols = st.cols
+	return work
 }
-
-func (s *opSim) leftNetGrossState() float64  { return s.leftNet }
-func (s *opSim) rightNetGrossState() float64 { return s.rightNet }
 
 // compositeDistinct estimates the distinct count of a multi-column join
 // key: the product of per-column distincts, capped by the number of rows.
@@ -338,9 +562,11 @@ func compositeDistinct(keys []expr.Expr, cols []catalog.ColumnStats, n float64) 
 	return d
 }
 
-func grossFor(p Profile, q int) float64 {
-	if v, ok := p.PerQuery[q]; ok {
-		return v
+// grossFor returns the stream's gross tuples valid for query q: its
+// per-query value when it has one, else the whole stream.
+func grossFor(p *Profile, q int) float64 {
+	if p.Queries.Has(q) {
+		return p.PerQuery[q]
 	}
 	return p.Gross
 }
@@ -351,28 +577,22 @@ func combineDeleteShare(a, b float64) float64 {
 	return a*(1-b) + b*(1-a)
 }
 
-func (s *opSim) stepAgg(in Profile) (Profile, float64) {
-	if s.groupDomain == 0 {
-		s.groupDomain = groupDomain(s.op.GroupBy, in.Cols)
+func (st *opState) stepAgg(o *progOp, in *Profile, ver uint64) float64 {
+	if st.groupDomain == 0 {
+		st.groupDomain = groupDomain(o.op.GroupBy, in.Cols)
 	}
 	work := in.Gross // tuples
 	// Accumulator updates: one per valid query bit per aggregate.
-	avgBits := in.avgBits(s.op.Queries)
-	work += in.Gross * avgBits * float64(maxInt(1, len(s.op.Aggs)))
+	avgBits := in.avgBits(o.members)
+	work += in.Gross * avgBits * float64(max(1, len(o.op.Aggs)))
 
 	// MIN/MAX rescans on deletions.
-	hasExtremum := false
-	for _, a := range s.op.Aggs {
-		if !a.Func.Incremental() {
-			hasExtremum = true
-		}
-	}
 	deletes := in.Gross * in.DeleteShare
-	groupsNow := drawnDistinct(s.groupDomain, s.arrivedAll+in.Gross)
-	if hasExtremum && deletes > 0 {
+	groupsNow := drawnDistinct(st.groupDomain, st.arrivedAll+in.Gross)
+	if o.hasExtremum && deletes > 0 {
 		valsPerGroup := 1.0
 		if groupsNow > 0 {
-			valsPerGroup = maxf(1, s.netState/groupsNow)
+			valsPerGroup = maxf(1, st.netState/groupsNow)
 		}
 		hits := deletes
 		if hits > groupsNow {
@@ -382,7 +602,7 @@ func (s *opSim) stepAgg(in Profile) (Profile, float64) {
 	}
 
 	// Affected groups this execution.
-	groupsBefore := drawnDistinct(s.groupDomain, s.arrivedAll)
+	groupsBefore := drawnDistinct(st.groupDomain, st.arrivedAll)
 	inserts := in.Gross * (1 - in.DeleteShare)
 	affected := drawnDistinct(groupsNow, in.Gross)
 	newGroups := groupsNow - groupsBefore
@@ -397,41 +617,43 @@ func (s *opSim) stepAgg(in Profile) (Profile, float64) {
 	// shared aggregate emits one output row per value class instead of one
 	// row carrying all bits — the extra work a shared aggregate does over
 	// the individual aggregates (paper §5.4).
-	classes := s.valueClasses(in)
+	classes := st.valueClasses(o, in)
 	// Changed groups retract the old row and emit the new one; new groups
 	// emit one row — per value class.
 	baseOut := (affected-newGroups)*2 + newGroups
 	outGross := baseOut * classes
 
-	out := Profile{
-		Gross: outGross,
-		// The net increment of an aggregate's output is its newly created
-		// groups; changed groups retract and re-emit, netting zero.
-		Net:      newGroups,
-		PerQuery: make(map[int]float64),
-	}
+	out := &st.out
+	out.Gross = outGross
+	// The net increment of an aggregate's output is its newly created
+	// groups; changed groups retract and re-emit, netting zero.
+	out.Net = newGroups
+	out.DeleteShare = 0
 	if outGross > 0 {
 		out.DeleteShare = (affected - newGroups) / outGross
 	}
-	for _, q := range s.op.Queries.Members() {
-		arrivedQ := s.arrived[q] + grossFor(in, q)
-		s.arrived[q] = arrivedQ
-		gq := drawnDistinct(s.groupDomain, arrivedQ)
+	for _, q := range o.members {
+		arrivedQ := st.arrived[q] + grossFor(in, q)
+		st.arrived[q] = arrivedQ
+		gq := drawnDistinct(st.groupDomain, arrivedQ)
 		share := 0.0
 		if groupsNow > 0 {
 			share = clamp01(gq / groupsNow)
 		}
 		// A query's own delta stream is single-class.
 		out.PerQuery[q] = baseOut * share
-		s.groupsPrev[q] = gq
 	}
-	s.arrivedAll += in.Gross
-	s.netState += inserts - deletes
+	st.arrivedAll += in.Gross
+	st.netState += inserts - deletes
 
 	work += outGross // output tuples
-	out.Cols = aggCols(s.op, in.Cols, groupsNow)
-	_ = inserts
-	return out, work
+	if ver != st.inVer[0] || groupsNow != st.colsGroups {
+		st.cols = aggCols(st.cols[:0], o.op, in.Cols, groupsNow)
+		st.inVer[0], st.colsGroups = ver, groupsNow
+		st.colsVer++
+	}
+	out.Cols = st.cols
+	return work
 }
 
 // valueClasses estimates how many distinct per-query value classes the
@@ -441,19 +663,18 @@ func (s *opSim) stepAgg(in Profile) (Profile, float64) {
 // the overlap of the queries' input shares: with n live queries whose
 // shares of the union sum to S, full overlap (S = n) gives one class and
 // pairwise-disjoint inputs (S = 1) give n classes.
-func (s *opSim) valueClasses(in Profile) float64 {
-	members := s.op.Queries.Members()
-	if len(members) <= 1 {
+func (st *opState) valueClasses(o *progOp, in *Profile) float64 {
+	if len(o.members) <= 1 {
 		return 1
 	}
-	total := s.arrivedAll + in.Gross
+	total := st.arrivedAll + in.Gross
 	if total <= 0 {
 		return 1
 	}
 	live := 0
 	sumShares := 0.0
-	for _, q := range members {
-		arrivedQ := s.arrived[q] + grossFor(in, q)
+	for _, q := range o.members {
+		arrivedQ := st.arrived[q] + grossFor(in, q)
 		if arrivedQ <= 0 {
 			continue
 		}
@@ -485,28 +706,21 @@ func groupDomain(groups []plan.NamedExpr, cols []catalog.ColumnStats) float64 {
 	return d
 }
 
-func aggCols(op *mqo.Op, in []catalog.ColumnStats, groups float64) []catalog.ColumnStats {
-	out := make([]catalog.ColumnStats, 0, len(op.GroupBy)+len(op.Aggs))
+// aggCols appends the aggregate's output stats to dst.
+func aggCols(dst []catalog.ColumnStats, op *mqo.Op, in []catalog.ColumnStats, groups float64) []catalog.ColumnStats {
 	for _, g := range op.GroupBy {
 		if c, ok := g.E.(*expr.Column); ok && c.Index < len(in) {
 			st := in[c.Index]
 			st.Distinct = minf(st.Distinct, groups)
-			out = append(out, st)
+			dst = append(dst, st)
 			continue
 		}
-		out = append(out, catalog.ColumnStats{Distinct: groups})
+		dst = append(dst, catalog.ColumnStats{Distinct: groups})
 	}
 	for range op.Aggs {
-		out = append(out, catalog.ColumnStats{Distinct: groups, Min: value.Null, Max: value.Null})
+		dst = append(dst, catalog.ColumnStats{Distinct: groups, Min: value.Null, Max: value.Null})
 	}
-	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return dst
 }
 
 func maxf(a, b float64) float64 {

@@ -32,6 +32,12 @@ echo "== benchmark module: go vet, go test"
 (cd benchmark && GOWORK=off GOFLAGS=-mod=readonly go vet ./... &&
 	GOWORK=off GOFLAGS=-mod=readonly go test ./...)
 
+# One iteration of the optimizer's hot-loop benchmarks, matching CI: a panic
+# in the cost simulator or the pace search fails here, not only in
+# benchmark/.
+echo "== optimizer benchmark smoke"
+go test -run '^$' -bench 'ModelEvaluate|GreedySearch/workers=1' -benchtime 1x .
+
 # The three knob twins below rerun the executor, scheduler, public API and
 # differential tests (every caller of the shared firing driver) with one
 # physical knob changed, matching CI. -count=1 forces a real run: the env
